@@ -24,7 +24,7 @@ telemetry  summarize a telemetry report written by --telemetry
 
 Traces are read/written by extension: ``.npz`` (compact) or ``.csv``.
 Model sets are JSON, gzipped when the path ends in ``.gz``.  The
-``fit``, ``generate``, ``evaluate`` and ``core`` commands take
+``fit``, ``generate``, ``validate``, ``evaluate`` and ``core`` commands take
 ``--telemetry PATH`` to write a versioned, schema-validated
 observability report of the run (see :mod:`repro.telemetry`);
 ``repro telemetry summarize PATH`` renders its per-phase breakdown.
@@ -67,7 +67,7 @@ from ..statemachines import (
 )
 from ..statemachines.dot import machine_to_dot
 from ..stats import hurst_rescaled_range, hurst_variance_time
-from ..telemetry import RunTelemetry, load_report, summarize_report
+from ..telemetry import RunTelemetry, load_report, summarize_report, use_telemetry
 from ..trace import (
     DeviceType,
     Trace,
@@ -82,8 +82,9 @@ from ..validation import (
     BREAKDOWN_ROWS,
     breakdown_difference,
     breakdown_with_states,
+    cohort_profile,
     format_table,
-    micro_comparison,
+    micro_comparison_partial,
 )
 
 _MACHINES = {
@@ -248,26 +249,39 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    real = _load_trace(args.real)
-    synthesized = _load_trace(args.synthesized)
-    for device_type in DeviceType:
-        if len(real.filter_device(device_type)) == 0:
-            continue
-        real_bd = breakdown_with_states(real, device_type)
-        diff = breakdown_difference(real, synthesized, device_type)
-        rows = [
-            [row, f"{100 * real_bd[row]:.1f}%", f"{100 * diff[row]:+.1f}%"]
-            for row in BREAKDOWN_ROWS
-        ]
-        print(format_table(["Event", "Real", "Diff"], rows,
-                           title=f"Breakdown - {device_type.name}"))
-        try:
-            micro = micro_comparison(real, synthesized, device_type)
-            rows = [[k, f"{100 * v:.1f}%"] for k, v in micro.items()]
-            print(format_table(["Quantity", "max y-distance"], rows))
-        except ValueError as exc:
-            print(f"(microscopic comparison skipped: {exc})")
-        print()
+    tele = RunTelemetry(
+        {"command": "validate", "real": args.real, "synthesized": args.synthesized}
+    )
+    with use_telemetry(tele):
+        with tele.span("trace-load"):
+            real = _load_trace(args.real)
+            synthesized = _load_trace(args.synthesized)
+        for device_type in DeviceType:
+            # One profile per cohort serves the breakdown and micro rows.
+            with tele.span("validate-profile"):
+                real_p = cohort_profile(real, device_type)
+                if real_p.num_events == 0:
+                    continue
+                syn_p = cohort_profile(synthesized, device_type)
+            with tele.span("validate-metrics"):
+                real_bd = breakdown_with_states(real_p, device_type)
+                diff = breakdown_difference(real_p, syn_p, device_type)
+                micro, skipped = micro_comparison_partial(real_p, syn_p, device_type)
+            rows = [
+                [row, f"{100 * real_bd[row]:.1f}%", f"{100 * diff[row]:+.1f}%"]
+                for row in BREAKDOWN_ROWS
+            ]
+            print(format_table(["Event", "Real", "Diff"], rows,
+                               title=f"Breakdown - {device_type.name}"))
+            if micro:
+                rows = [[k, f"{100 * v:.1f}%"] for k, v in micro.items()]
+                print(format_table(["Quantity", "max y-distance"], rows))
+            for quantity, reason in skipped.items():
+                print(f"(microscopic comparison skipped for {quantity}: {reason})")
+            print()
+    if args.telemetry:
+        tele.write_report(args.telemetry)
+        print(f"telemetry report -> {args.telemetry}")
     return 0
 
 
@@ -310,8 +324,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             handle.write("\n")
         print(f"evaluation report -> {args.json}")
     print(report.to_text())
-    for device_type in DeviceType:
-        if len(real.filter_device(device_type)) > 0:
+    for device_type, profile in report.real_profiles.items():
+        if profile.num_events > 0:
             print(f"winner ({device_type.name}): {report.winner(device_type)}")
     if args.telemetry:
         tele.write_report(args.telemetry)
@@ -543,6 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="compare synthesized vs real traces")
     p.add_argument("--real", required=True)
     p.add_argument("--synthesized", required=True)
+    p.add_argument("--telemetry", default=None, metavar="PATH",
+                   help="write a schema-validated JSON telemetry report "
+                        "of the run to PATH")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("evaluate", help="full method comparison (§8)")

@@ -14,7 +14,14 @@ fitter; ``"reference"`` keeps the original per-event Python paths as
 the exact-equality oracle.  Both produce identical reports.  With
 ``processes`` the per-(method × device) metric jobs additionally fan
 out over the fault-tolerant pool of :mod:`repro.generator.parallel`,
-sharing the traces with workers as memory-mapped uncompressed NPZ.
+sharing the synthesized traces with workers as memory-mapped
+uncompressed NPZ.
+
+Every cohort is filtered, replayed and classified once: the real
+trace's per-device :class:`~repro.validation.CohortProfile` is built
+once and shared by every method's cell (and by
+:meth:`EvaluationReport.to_text`), and each synthesized trace is
+profiled once per device.
 
 Micro-metrics are measured **per quantity**: a quantity that cannot be
 computed (say, no complete IDLE sojourn in a short trace) lands in
@@ -45,7 +52,12 @@ from ..validation.breakdown import (
     breakdown_difference,
     breakdown_with_states,
 )
-from ..validation.microscopic import MICRO_QUANTITIES, micro_comparison_partial
+from ..validation.microscopic import (
+    MICRO_QUANTITIES,
+    cohort_profile,
+    micro_comparison_partial,
+)
+from ..validation.profile import CohortProfile
 from ..validation.report import format_table
 
 DEFAULT_METHODS = ("base", "v1", "v2", "ours")
@@ -80,7 +92,12 @@ class EvaluationReport:
     num_ues: int
     generation_hour: int
     results: Dict[str, MethodResult]
-    engine: str = "reference"
+    engine: str = "compiled"
+    #: The real trace's cohort profiles by device type, built once by
+    #: the harness and reused by :meth:`to_text`.
+    real_profiles: Dict[DeviceType, CohortProfile] = dataclasses.field(
+        default_factory=dict
+    )
 
     def winner(self, device_type: DeviceType) -> str:
         """Method with the smallest macroscopic error for a device.
@@ -104,13 +121,12 @@ class EvaluationReport:
     def to_text(self) -> str:
         """Render the macro and micro tables for every device type."""
         methods = list(self.results)
+        profiles = self.real_profiles or _profiles(self.real, self.engine)
         blocks: List[str] = []
-        for device_type in DeviceType:
-            if len(self.real.filter_device(device_type)) == 0:
+        for device_type, profile in profiles.items():
+            if profile.num_events == 0:
                 continue
-            real_bd = breakdown_with_states(
-                self.real, device_type, engine=self.engine
-            )
+            real_bd = breakdown_with_states(profile, device_type)
             rows = []
             for row_key in BREAKDOWN_ROWS:
                 rows.append(
@@ -206,25 +222,34 @@ class EvalJobFailedError(RuntimeError):
         )
 
 
+def _profiles(trace: Trace, engine: str) -> Dict[DeviceType, CohortProfile]:
+    """One cohort profile per device type (absent ones are empty)."""
+    return {dt: cohort_profile(trace, dt, engine=engine) for dt in DeviceType}
+
+
 def _device_metrics(
-    real: Trace,
+    real_profile: CohortProfile,
     synthesized: Trace,
-    device_type: DeviceType,
     *,
     engine: str,
-    real_num_ues: Optional[int],
     syn_num_ues: Optional[int],
 ) -> Tuple[Dict[str, float], float, Dict[str, float], Dict[str, str]]:
-    """All metrics of one (method, device) cell of Tables 4/5."""
+    """All metrics of one (method, device) cell of Tables 4/5.
+
+    The synthesized cohort is profiled once here; the real cohort's
+    profile is shared by every method's cell.
+    """
+    device_type = real_profile.device_type
+    syn_profile = cohort_profile(synthesized, device_type, engine=engine)
     macro_diff = breakdown_difference(
-        real, synthesized, device_type, engine=engine
+        real_profile, syn_profile, device_type, engine=engine
     )
     macro_max = max(abs(v) for v in macro_diff.values())
     micro, skipped = micro_comparison_partial(
-        real,
-        synthesized,
+        real_profile,
+        syn_profile,
         device_type,
-        real_num_ues=real_num_ues,
+        real_num_ues=real_profile.num_ues,
         syn_num_ues=syn_num_ues,
         engine=engine,
     )
@@ -234,10 +259,9 @@ def _device_metrics(
 # Worker-global state for parallel metric jobs, installed once per
 # process by _init_eval_worker (same pattern as the fit workers).
 _EVAL_WORKER: dict = {
-    "real": None,
+    "real_profiles": None,
     "syn_paths": None,
     "engine": None,
-    "real_num_ues": None,
     "syn_num_ues": None,
     "scratch": None,
     "syn": {},
@@ -245,12 +269,9 @@ _EVAL_WORKER: dict = {
 
 
 def _init_eval_worker(payload: dict, scratch_dir: Optional[str] = None) -> None:
-    from ..trace.io import read_npz
-
-    _EVAL_WORKER["real"] = read_npz(payload["real_path"], mmap=True)
+    _EVAL_WORKER["real_profiles"] = payload["real_profiles"]
     _EVAL_WORKER["syn_paths"] = payload["syn_paths"]
     _EVAL_WORKER["engine"] = payload["engine"]
-    _EVAL_WORKER["real_num_ues"] = payload["real_num_ues"]
     _EVAL_WORKER["syn_num_ues"] = payload["syn_num_ues"]
     _EVAL_WORKER["scratch"] = scratch_dir
     _EVAL_WORKER["syn"] = {}
@@ -268,8 +289,8 @@ def _eval_job(args: Tuple[int, str, int]) -> Tuple[tuple, dict]:
 def _eval_job_metrics(job_idx: int, method: str, device_code: int):
     from ..trace.io import read_npz
 
-    real = _EVAL_WORKER["real"]
-    assert real is not None, "evaluation worker not initialized"
+    real_profiles = _EVAL_WORKER["real_profiles"]
+    assert real_profiles is not None, "evaluation worker not initialized"
     if _EVAL_WORKER["scratch"] is not None:
         # Started-marker: lets the parent attribute a pool crash to the
         # jobs that were actually in flight (see run_tasks_pool).
@@ -285,31 +306,30 @@ def _eval_job_metrics(job_idx: int, method: str, device_code: int):
         synthesized = read_npz(_EVAL_WORKER["syn_paths"][method], mmap=True)
         _EVAL_WORKER["syn"][method] = synthesized
     return _device_metrics(
-        real,
+        real_profiles[DeviceType(device_code)],
         synthesized,
-        DeviceType(device_code),
         engine=_EVAL_WORKER["engine"],
-        real_num_ues=_EVAL_WORKER["real_num_ues"].get(device_code),
         syn_num_ues=_EVAL_WORKER["syn_num_ues"][method].get(device_code),
     )
 
 
 def _run_eval_jobs(
-    real: Trace,
+    real_profiles: Mapping[DeviceType, CohortProfile],
     synthesized: Mapping[str, Trace],
     jobs: Sequence[Tuple[str, int]],
     *,
     engine: str,
     processes: Optional[int],
-    real_num_ues: Dict[int, int],
     syn_num_ues: Dict[str, Dict[int, int]],
     max_retries: int = 2,
 ) -> Dict[Tuple[str, int], tuple]:
     """Fan the (method, device) metric jobs across a process pool.
 
-    The real and synthesized traces are written once each as
-    *uncompressed* NPZ that every worker memory-maps, so the columns
-    are shared through the page cache instead of being pickled per job.
+    Workers receive the real trace's cohort profiles with their
+    initialization payload, so the real trace is never replayed again.
+    The synthesized traces are written once each as *uncompressed* NPZ
+    that every worker memory-maps, so the columns are shared through
+    the page cache instead of being pickled per job.
     Failures reuse the generation pool's retry/fault-attribution loop
     (bumping ``eval_retries``); a job that keeps failing raises
     :class:`EvalJobFailedError`.
@@ -320,17 +340,14 @@ def _run_eval_jobs(
     tmp = tempfile.mkdtemp(prefix="repro-eval-")
     results: Dict[int, tuple] = {}
     try:
-        real_path = os.path.join(tmp, "real.npz")
-        write_npz(real, real_path, compress=False)
         syn_paths = {}
         for method, trace in synthesized.items():
             syn_paths[method] = os.path.join(tmp, f"syn-{method}.npz")
             write_npz(trace, syn_paths[method], compress=False)
         payload = {
-            "real_path": real_path,
+            "real_profiles": dict(real_profiles),
             "syn_paths": syn_paths,
             "engine": engine,
-            "real_num_ues": dict(real_num_ues),
             "syn_num_ues": {m: dict(v) for m, v in syn_num_ues.items()},
         }
         tasks = {
@@ -464,16 +481,6 @@ def _evaluate_methods(
     cache_dir: "Optional[str | os.PathLike[str]]",
 ) -> EvaluationReport:
     tele = get_telemetry()
-    devices = [
-        device_type
-        for device_type in DeviceType
-        if len(real.filter_device(device_type)) > 0
-    ]
-    real_num_ues = {
-        int(device_type): real.filter_device(device_type).num_ues
-        for device_type in devices
-    }
-
     fitted: Dict[str, ModelSet] = {}
     synthesized: Dict[str, Trace] = {}
     syn_num_ues: Dict[str, Dict[int, int]] = {}
@@ -507,28 +514,27 @@ def _evaluate_methods(
             )
     tele.count("eval_methods", len(methods))
 
-    jobs = [(method, int(device_type)) for method in methods for device_type in devices]
-    tele.count("eval_metric_jobs", len(jobs))
     with tele.span("eval-metrics"):
+        real_profiles = _profiles(real, engine)
+        devices = [dt for dt, p in real_profiles.items() if p.num_events > 0]
+        jobs = [(method, int(dt)) for method in methods for dt in devices]
+        tele.count("eval_metric_jobs", len(jobs))
         if processes is not None and processes != 1:
             metrics = _run_eval_jobs(
-                real,
+                real_profiles,
                 synthesized,
                 jobs,
                 engine=engine,
                 processes=processes if processes else None,
-                real_num_ues=real_num_ues,
                 syn_num_ues=syn_num_ues,
             )
         else:
             metrics = {}
             for done, (method, device_code) in enumerate(jobs, start=1):
                 metrics[(method, device_code)] = _device_metrics(
-                    real,
+                    real_profiles[DeviceType(device_code)],
                     synthesized[method],
-                    DeviceType(device_code),
                     engine=engine,
-                    real_num_ues=real_num_ues.get(device_code),
                     syn_num_ues=syn_num_ues[method].get(device_code),
                 )
                 tele.progress("eval-metrics", done, len(jobs))
@@ -561,4 +567,5 @@ def _evaluate_methods(
         generation_hour=generation_hour,
         results=results,
         engine=engine,
+        real_profiles=real_profiles,
     )

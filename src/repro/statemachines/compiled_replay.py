@@ -414,6 +414,12 @@ class TraceReplay:
             ] = int(counts[key])
         return out
 
+    def per_ue_event_counts(self, event: EventType) -> np.ndarray:
+        """Rows of one event type per UE; == reference ``per_ue_event_counts``."""
+        return np.bincount(
+            self.ue_code[self.events == int(event)], minlength=self.num_ues
+        )
+
     def _interval_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Complete top-level intervals as (ue_code, state_parent, duration).
 

@@ -250,6 +250,24 @@ def transition_counts(
     return counts
 
 
+def per_ue_event_counts(results, event: EventType) -> np.ndarray:
+    """Records of one event type per replayed UE, in ascending UE order.
+
+    The lenient replay keeps one record per event, so these are the
+    UEs' event counts.  Accepts either the reference
+    ``{ue: ReplayResult}`` mapping or a compiled ``TraceReplay``.
+    """
+    if not isinstance(results, dict):
+        return results.per_ue_event_counts(event)
+    return np.array(
+        [
+            sum(rec.event == event for rec in results[ue].records)
+            for ue in sorted(results)
+        ],
+        dtype=np.int64,
+    )
+
+
 def top_level_intervals(
     records: Sequence[TransitionRecord],
     machine=None,

@@ -12,6 +12,7 @@ from .microscopic import (
     ACTIVITY_THRESHOLD,
     MICRO_QUANTITIES,
     activity_split_ydistance,
+    cohort_profile,
     count_ydistance,
     device_sojourns,
     micro_comparison,
@@ -20,11 +21,13 @@ from .microscopic import (
     sojourn_ydistance,
     state_sojourns,
 )
+from .profile import CohortProfile
 from .report import format_percent, format_ratio, format_table
 
 __all__ = [
     "ACTIVITY_THRESHOLD",
     "AggregateComparison",
+    "CohortProfile",
     "compare_aggregate",
     "rate_curve",
     "BREAKDOWN_ROWS",
@@ -32,6 +35,7 @@ __all__ = [
     "activity_split_ydistance",
     "breakdown_difference",
     "breakdown_with_states",
+    "cohort_profile",
     "count_ydistance",
     "device_sojourns",
     "format_percent",

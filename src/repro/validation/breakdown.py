@@ -13,7 +13,7 @@ the real trace's.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from ..statemachines import lte
 from ..statemachines.replay import classify_category2_events
 from ..trace.events import DeviceType, EventType
 from ..trace.trace import Trace
+from .profile import CohortProfile
 
 #: Row labels in the paper's table order.
 BREAKDOWN_ROWS: Tuple[str, ...] = (
@@ -35,41 +36,54 @@ BREAKDOWN_ROWS: Tuple[str, ...] = (
 )
 
 
-def breakdown_with_states(
-    trace: Trace,
-    device_type: DeviceType,
-    *,
-    engine: str = "compiled",
-) -> Dict[str, float]:
-    """Eight-row event breakdown (fractions of all events) for one device."""
-    sub = trace.filter_device(device_type)
-    total = len(sub)
-    if total == 0:
-        return {row: 0.0 for row in BREAKDOWN_ROWS}
+def cohort_row_counts(sub: Trace, *, engine: str = "compiled") -> Dict[str, int]:
+    """Event counts of one device cohort under the eight breakdown rows."""
     cat2 = classify_category2_events(sub, engine=engine)
-    counts = {
-        "ATCH": int(np.count_nonzero(sub.event_types == int(EventType.ATCH))),
-        "DTCH": int(np.count_nonzero(sub.event_types == int(EventType.DTCH))),
-        "SRV_REQ": int(np.count_nonzero(sub.event_types == int(EventType.SRV_REQ))),
-        "S1_CONN_REL": int(
-            np.count_nonzero(sub.event_types == int(EventType.S1_CONN_REL))
-        ),
+    by_type = np.bincount(sub.event_types, minlength=len(EventType))
+    return {
+        "ATCH": int(by_type[EventType.ATCH]),
+        "DTCH": int(by_type[EventType.DTCH]),
+        "SRV_REQ": int(by_type[EventType.SRV_REQ]),
+        "S1_CONN_REL": int(by_type[EventType.S1_CONN_REL]),
         "HO (CONN.)": cat2[(EventType.HO, lte.CONNECTED)],
         "HO (IDLE)": cat2[(EventType.HO, lte.IDLE)],
         "TAU (CONN.)": cat2[(EventType.TAU, lte.CONNECTED)],
         "TAU (IDLE)": cat2[(EventType.TAU, lte.IDLE)],
     }
-    return {row: counts[row] / total for row in BREAKDOWN_ROWS}
 
 
-def breakdown_difference(
-    real: Trace,
-    synthesized: Trace,
+def breakdown_with_states(
+    trace: Union[Trace, CohortProfile],
     device_type: DeviceType,
     *,
     engine: str = "compiled",
 ) -> Dict[str, float]:
-    """Signed per-row difference (synthesized - real), in fractions."""
+    """Eight-row event breakdown (fractions of all events) for one device.
+
+    ``trace`` may also be a :class:`CohortProfile` of ``device_type``,
+    whose counts are read as they are (``engine`` then has no effect).
+    """
+    if isinstance(trace, CohortProfile):
+        total, counts = trace.check_device(device_type).num_events, trace.row_counts
+    else:
+        sub = trace.filter_device(device_type)
+        total, counts = len(sub), cohort_row_counts(sub, engine=engine)
+    if total == 0:
+        return {row: 0.0 for row in BREAKDOWN_ROWS}
+    return {row: counts[row] / total for row in BREAKDOWN_ROWS}
+
+
+def breakdown_difference(
+    real: Union[Trace, CohortProfile],
+    synthesized: Union[Trace, CohortProfile],
+    device_type: DeviceType,
+    *,
+    engine: str = "compiled",
+) -> Dict[str, float]:
+    """Signed per-row difference (synthesized - real), in fractions.
+
+    Either side may be a :class:`CohortProfile` of ``device_type``.
+    """
     rb = breakdown_with_states(real, device_type, engine=engine)
     sb = breakdown_with_states(synthesized, device_type, engine=engine)
     return {row: sb[row] - rb[row] for row in BREAKDOWN_ROWS}

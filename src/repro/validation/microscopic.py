@@ -13,14 +13,31 @@ sides are treated identically.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from ..stats.ecdf import max_y_distance
-from ..statemachines.replay import replay_trace, top_state_sojourns
+from ..statemachines import lte
+from ..statemachines.replay import (
+    per_ue_event_counts,
+    replay_trace,
+    top_state_sojourns,
+)
+from ..telemetry import get_telemetry
 from ..trace.events import DeviceType, EventType
 from ..trace.trace import Trace
+from .breakdown import cohort_row_counts
+from .profile import CohortProfile, pad_counts
+
+#: Table-5 rows, in presentation order: per-UE event-count CDFs first,
+#: then top-level sojourn CDFs.
+MICRO_QUANTITIES = ("SRV_REQ", "S1_CONN_REL", "CONNECTED", "IDLE")
+
+_COUNT_QUANTITIES = {
+    "SRV_REQ": EventType.SRV_REQ,
+    "S1_CONN_REL": EventType.S1_CONN_REL,
+}
 
 
 def per_ue_counts(
@@ -40,17 +57,58 @@ def per_ue_counts(
     """
     sub = trace.filter_device(device_type)
     ues = sub.unique_ues()
-    present = len(ues)
-    if num_ues is not None and num_ues < present:
-        raise ValueError(
-            f"num_ues={num_ues} smaller than UEs present ({present})"
-        )
     mask = sub.event_types == int(event_type)
-    counts = np.bincount(
-        np.searchsorted(ues, sub.ue_ids[mask]),
-        minlength=num_ues if num_ues is not None else present,
+    counts = np.bincount(np.searchsorted(ues, sub.ue_ids[mask]), minlength=len(ues))
+    return pad_counts(np.sort(counts.astype(np.float64)), num_ues)
+
+
+def cohort_profile(
+    trace: Trace,
+    device_type: DeviceType,
+    *,
+    engine: str = "compiled",
+) -> CohortProfile:
+    """Filter, replay and classify one device cohort once.
+
+    The returned :class:`CohortProfile` serves every Table-4/5 number
+    of the cohort.  ``engine="reference"`` builds it from the per-event
+    reference replay and classifier, the oracle the compiled engine is
+    pinned against; both engines build equal profiles.  Each non-empty
+    cohort bumps the ``validate_replays`` / ``validate_events``
+    counters of the ambient telemetry.
+    """
+    sub = trace.filter_device(device_type)
+    replay = replay_trace(sub, engine=engine)
+    ue_counts = {
+        name: np.sort(per_ue_event_counts(replay, event_type).astype(np.float64))
+        for name, event_type in _COUNT_QUANTITIES.items()
+    }
+    if len(sub):
+        tele = get_telemetry()
+        tele.count("validate_replays")
+        tele.count("validate_events", len(sub))
+    return CohortProfile(
+        device_type=device_type,
+        num_events=len(sub),
+        num_ues=len(ue_counts["SRV_REQ"]),
+        row_counts=cohort_row_counts(sub, engine=engine),
+        ue_counts=ue_counts,
+        sojourns=top_state_sojourns(replay),
     )
-    return np.sort(counts.astype(np.float64))
+
+
+def _as_profile(
+    trace: Union[Trace, CohortProfile], device_type: DeviceType, engine: str
+) -> CohortProfile:
+    if isinstance(trace, CohortProfile):
+        return trace.check_device(device_type)
+    return cohort_profile(trace, device_type, engine=engine)
+
+
+def _count_distance(real_counts: np.ndarray, syn_counts: np.ndarray) -> float:
+    if real_counts.size == 0 or syn_counts.size == 0:
+        raise ValueError("one of the traces has no UEs of this device type")
+    return max_y_distance(real_counts, syn_counts)
 
 
 def count_ydistance(
@@ -67,16 +125,14 @@ def count_ydistance(
     syn_counts = per_ue_counts(
         synthesized, device_type, event_type, num_ues=syn_num_ues
     )
-    if real_counts.size == 0 or syn_counts.size == 0:
-        raise ValueError("one of the traces has no UEs of this device type")
-    return max_y_distance(real_counts, syn_counts)
+    return _count_distance(real_counts, syn_counts)
 
 
 def device_sojourns(
     trace: Trace,
     device_type: DeviceType,
     *,
-    engine: str = "reference",
+    engine: str = "compiled",
 ) -> Dict[str, np.ndarray]:
     """Complete top-level sojourns of one device cohort, by state.
 
@@ -94,7 +150,7 @@ def state_sojourns(
     device_type: DeviceType,
     state: str,
     *,
-    engine: str = "reference",
+    engine: str = "compiled",
 ) -> np.ndarray:
     """All complete sojourn durations in a top-level state, across UEs."""
     return device_sojourns(trace, device_type, engine=engine).get(
@@ -108,7 +164,7 @@ def sojourn_ydistance(
     device_type: DeviceType,
     state: str,
     *,
-    engine: str = "reference",
+    engine: str = "compiled",
 ) -> float:
     """Max y-distance between sojourn CDFs (Table 5, bottom half)."""
     real_s = state_sojourns(real, device_type, state, engine=engine)
@@ -158,24 +214,14 @@ def activity_split_ydistance(
     return out[0], out[1]
 
 
-#: Table-5 rows, in presentation order: per-UE event-count CDFs first,
-#: then top-level sojourn CDFs.
-MICRO_QUANTITIES = ("SRV_REQ", "S1_CONN_REL", "CONNECTED", "IDLE")
-
-_COUNT_QUANTITIES = {
-    "SRV_REQ": EventType.SRV_REQ,
-    "S1_CONN_REL": EventType.S1_CONN_REL,
-}
-
-
 def micro_comparison_partial(
-    real: Trace,
-    synthesized: Trace,
+    real: Union[Trace, CohortProfile],
+    synthesized: Union[Trace, CohortProfile],
     device_type: DeviceType,
     *,
     real_num_ues: Optional[int] = None,
     syn_num_ues: Optional[int] = None,
-    engine: str = "reference",
+    engine: str = "compiled",
 ) -> Tuple[Dict[str, float], Dict[str, str]]:
     """One Table-5 column, reporting every computable quantity.
 
@@ -185,30 +231,25 @@ def micro_comparison_partial(
     (e.g. no complete IDLE sojourn in a short trace).  Quantities are
     independent: one failing never discards the others.
 
-    Both traces' cohorts are replayed once each, serving the CONNECTED
-    and IDLE rows together.
+    Either side may be a :class:`CohortProfile` of ``device_type``
+    (``engine`` then has no effect on it); a trace is profiled here,
+    replaying its cohort once for the CONNECTED and IDLE rows together.
     """
-    from ..statemachines import lte
-
+    real_profile = _as_profile(real, device_type, engine)
+    syn_profile = _as_profile(synthesized, device_type, engine)
     values: Dict[str, float] = {}
     skipped: Dict[str, str] = {}
-    for name, event_type in _COUNT_QUANTITIES.items():
+    for name in _COUNT_QUANTITIES:
         try:
-            values[name] = count_ydistance(
-                real,
-                synthesized,
-                device_type,
-                event_type,
-                real_num_ues=real_num_ues,
-                syn_num_ues=syn_num_ues,
+            values[name] = _count_distance(
+                real_profile.padded_counts(name, real_num_ues),
+                syn_profile.padded_counts(name, syn_num_ues),
             )
         except ValueError as exc:
             skipped[name] = str(exc)
-    real_soj = device_sojourns(real, device_type, engine=engine)
-    syn_soj = device_sojourns(synthesized, device_type, engine=engine)
     for state in (lte.CONNECTED, lte.IDLE):
-        real_s = real_soj.get(state, np.empty(0))
-        syn_s = syn_soj.get(state, np.empty(0))
+        real_s = real_profile.sojourns.get(state, np.empty(0))
+        syn_s = syn_profile.sojourns.get(state, np.empty(0))
         if real_s.size == 0 or syn_s.size == 0:
             skipped[state] = (
                 f"no complete {state} sojourns for {device_type.name} "
@@ -220,13 +261,13 @@ def micro_comparison_partial(
 
 
 def micro_comparison(
-    real: Trace,
-    synthesized: Trace,
+    real: Union[Trace, CohortProfile],
+    synthesized: Union[Trace, CohortProfile],
     device_type: DeviceType,
     *,
     real_num_ues: Optional[int] = None,
     syn_num_ues: Optional[int] = None,
-    engine: str = "reference",
+    engine: str = "compiled",
 ) -> Dict[str, float]:
     """One Table-5 column: count and sojourn y-distances for a method.
 

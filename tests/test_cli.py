@@ -219,6 +219,103 @@ class TestOtherCommands:
         assert capsys.readouterr().out.startswith('digraph "LTE-two-level"')
 
 
+class TestValidate:
+    @pytest.fixture()
+    def synthesized(self, workspace):
+        syn = workspace / "syn.npz"
+        main(
+            ["generate", "--model", str(workspace / "model.json.gz"),
+             "--ues", "100", "--start-hour", "18", "--out", str(syn)]
+        )
+        return syn
+
+    def _validate(self, real, syn, *extra):
+        return main(["validate", "--real", str(real), "--synthesized", str(syn),
+                     *extra])
+
+    def test_output_matches_trace_path(self, workspace, synthesized, capsys):
+        # With every quantity measurable the output is byte-identical to
+        # the tables computed straight from the traces.
+        from repro.trace import DeviceType
+        from repro.validation import (
+            BREAKDOWN_ROWS,
+            breakdown_difference,
+            breakdown_with_states,
+            format_table,
+            micro_comparison,
+        )
+
+        capsys.readouterr()
+        assert self._validate(workspace / "real.npz", synthesized) == 0
+        out = capsys.readouterr().out
+        real, syn = read_npz(workspace / "real.npz"), read_npz(synthesized)
+        expected = []
+        for dt in DeviceType:
+            if len(real.filter_device(dt)) == 0:
+                continue
+            real_bd = breakdown_with_states(real, dt, engine="reference")
+            diff = breakdown_difference(real, syn, dt, engine="reference")
+            rows = [[r, f"{100 * real_bd[r]:.1f}%", f"{100 * diff[r]:+.1f}%"]
+                    for r in BREAKDOWN_ROWS]
+            expected.append(format_table(["Event", "Real", "Diff"], rows,
+                                         title=f"Breakdown - {dt.name}"))
+            micro = micro_comparison(real, syn, dt, engine="reference")
+            expected.append(format_table(
+                ["Quantity", "max y-distance"],
+                [[k, f"{100 * v:.1f}%"] for k, v in micro.items()],
+            ))
+            expected.append("")
+        assert out == "\n".join(expected) + "\n"
+
+    def test_measurable_rows_kept_when_one_is_skipped(self, workspace, capsys):
+        # Regression: one unmeasurable quantity used to discard the whole
+        # micro table.  No UE here closes an IDLE sojourn.
+        from repro.trace import DeviceType, EventType, write_npz
+
+        from conftest import make_trace
+
+        P, E = DeviceType.PHONE, EventType
+        real = workspace / "no_idle.npz"
+        write_npz(make_trace([
+            (1, 100.0, E.SRV_REQ, P),
+            (1, 160.0, E.S1_CONN_REL, P),
+            (2, 200.0, E.SRV_REQ, P),
+            (2, 290.0, E.S1_CONN_REL, P),
+        ]), real)
+        assert self._validate(real, workspace / "real.npz") == 0
+        out = capsys.readouterr().out
+        micro_table = out.split("Quantity")[1].split("(microscopic")[0]
+        quantities = [line.split()[0] for line in micro_table.splitlines()
+                      if line.split()[:1] in (["SRV_REQ"], ["S1_CONN_REL"],
+                                              ["CONNECTED"], ["IDLE"])]
+        assert quantities == ["SRV_REQ", "S1_CONN_REL", "CONNECTED"]
+        assert ("(microscopic comparison skipped for IDLE: no complete IDLE "
+                "sojourns for PHONE in one of the traces)") in out
+
+    def test_telemetry_counts_one_replay_per_cohort(self, workspace, synthesized,
+                                                   tmp_path, capsys):
+        import json
+
+        from repro.telemetry import validate_report
+        from repro.trace import DeviceType
+
+        path = tmp_path / "validate_tele.json"
+        assert self._validate(workspace / "real.npz", synthesized,
+                              "--telemetry", str(path)) == 0
+        assert f"telemetry report -> {path}" in capsys.readouterr().out
+        report = json.loads(path.read_text())
+        validate_report(report)
+        assert report["run"]["command"] == "validate"
+        assert {"trace-load", "validate-profile", "validate-metrics"} <= set(
+            report["spans"]
+        )
+        real, syn = read_npz(workspace / "real.npz"), read_npz(synthesized)
+        present = [dt for dt in DeviceType if len(real.filter_device(dt))]
+        assert all(len(syn.filter_device(dt)) for dt in present)
+        assert report["counters"]["validate_replays"] == 2 * len(present)
+        assert report["counters"]["validate_events"] == len(real) + len(syn)
+
+
 class TestExtendedCommands:
     def test_core(self, workspace, capsys):
         rc = main(

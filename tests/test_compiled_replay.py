@@ -18,6 +18,7 @@ from repro.statemachines import (
     REPLAY_ENGINES,
     TraceReplay,
     classify_category2_events,
+    per_ue_event_counts,
     replay_trace,
     replay_ue,
     sojourn_samples,
@@ -156,6 +157,18 @@ class TestForcedViolations:
         assert sum(r.violations for r in ref.values()) > 0
         for ue in ref:
             assert comp[ue].violations == ref[ue].violations
+
+
+class TestPerUeEventCounts:
+    @pytest.mark.parametrize("event", [E.SRV_REQ, E.S1_CONN_REL, E.HO])
+    def test_engines_agree(self, event, ground_truth_trace):
+        violating = make_trace(TestForcedViolations.VIOLATING_ROWS)
+        for trace in (ground_truth_trace, violating, Trace.empty()):
+            ref = per_ue_event_counts(replay_trace(trace, engine="reference"), event)
+            comp = per_ue_event_counts(replay_trace(trace, engine="compiled"), event)
+            assert np.array_equal(ref, comp)
+            assert len(comp) == trace.num_ues
+            assert comp.sum() == np.count_nonzero(trace.event_types == int(event))
 
 
 class TestHypothesisEquality:

@@ -124,6 +124,38 @@ class TestEvaluationEngines:
             == parallel.to_dict()["methods"]
         )
 
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_each_cohort_replayed_once(
+        self, processes, ground_truth_trace, holdout_trace, ours_model_set,
+        base_model_set,
+    ):
+        # The real trace is profiled once per device, not once per
+        # method x device cell; each synthesized trace once per device.
+        from repro.telemetry import RunTelemetry, use_telemetry
+
+        tele = RunTelemetry()
+        report = evaluate_methods(
+            ground_truth_trace,
+            holdout_trace,
+            methods=("base", "ours"),
+            models={"base": base_model_set, "ours": ours_model_set},
+            generation_hour=TRACE_START_HOUR + 1,
+            processes=processes,
+            telemetry=tele,
+        )
+        devices = [dt for dt in DeviceType if len(holdout_trace.filter_device(dt))]
+        syn_cohorts = sum(
+            1
+            for result in report.results.values()
+            for dt in devices
+            if len(result.synthesized.filter_device(dt))
+        )
+        assert tele.counters["validate_replays"] == len(devices) + syn_cohorts
+        rendered = RunTelemetry()
+        with use_telemetry(rendered):
+            report.to_text()
+        assert "validate_replays" not in rendered.counters
+
     def test_to_dict_shape(self, report):
         data = report.to_dict()
         assert data["engine"] in EVAL_ENGINES

@@ -140,6 +140,20 @@ class TestProgress:
         tele.progress("phase", 2)
         assert seen == [("phase", 1, 0)]
 
+    def test_first_tick_delivered_right_after_boot(self, monkeypatch):
+        # Regression: the last-tick time was seeded with 0.0, so while
+        # time.monotonic() (seconds since boot) was below min_interval
+        # the first tick was dropped.
+        from repro.telemetry import collector
+
+        monkeypatch.setattr(collector.time, "monotonic", lambda: 0.1)
+        tele = RunTelemetry()
+        seen = []
+        tele.on_progress(lambda *tick: seen.append(tick), min_interval=3600.0)
+        tele.progress("phase", 1, 5)
+        tele.progress("phase", 2, 5)
+        assert seen == [("phase", 1, 5)]
+
     def test_negative_interval_rejected(self):
         tele = RunTelemetry()
         with pytest.raises(ValueError, match="min_interval"):
