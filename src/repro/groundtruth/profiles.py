@@ -23,8 +23,11 @@ the paper tests, so model fitting is a real exercise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, Tuple
+
+import numpy as np
 
 from ..trace.events import DeviceType
 
@@ -53,6 +56,17 @@ class MixtureSpec:
             raise ValueError("weights and components must align")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
+
+    @functools.cached_property
+    def cdf(self) -> Tuple[float, ...]:
+        """Cumulative weights scaled to end at 1.0.
+
+        Built as ``Generator.choice(p=weights)`` builds its table, so
+        ``bisect_right(cdf, rng.random())`` picks the component ``choice``
+        would, from the same single draw.
+        """
+        cumulative = np.cumsum(np.asarray(self.weights, dtype=np.float64))
+        return tuple((cumulative / cumulative[-1]).tolist())
 
 
 @dataclasses.dataclass(frozen=True)

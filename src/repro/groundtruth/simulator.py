@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_right
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -74,7 +75,7 @@ def _sample_lognormal(spec: LognormalSpec, rng: np.random.Generator) -> float:
 
 
 def _sample_mixture(spec: MixtureSpec, rng: np.random.Generator) -> float:
-    idx = rng.choice(len(spec.weights), p=spec.weights)
+    idx = bisect_right(spec.cdf, rng.random())
     return _sample_lognormal(spec.components[idx], rng)
 
 

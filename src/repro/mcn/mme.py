@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+from array import array
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -26,6 +27,7 @@ from ..statemachines.lte import two_level_machine
 from ..statemachines.replay import _canonical_source_for
 from ..trace.events import EventType
 from ..trace.trace import Trace
+from .network import jitter_factors
 
 #: Default mean service time per event type, seconds.  Attach/detach do
 #: the most signaling work (HSS, session setup); handovers are mid;
@@ -79,63 +81,67 @@ class MmeSimulator:
         self.service_jitter = service_jitter
         self.seed = seed
 
-    def _service_time(self, event: EventType, rng: np.random.Generator) -> float:
-        mean = self.service_means.get(event, 0.005)
-        if self.service_jitter == 0:
-            return mean
-        lo = 1.0 - self.service_jitter
-        hi = 1.0 + self.service_jitter
-        return mean * rng.uniform(lo, hi)
-
     def process(self, trace: Trace) -> MmeReport:
-        """Run the trace through the worker pool and report statistics."""
+        """Run the trace through the worker pool and report statistics.
+
+        Events are served in trace order.  Service means come from a
+        per-event-code table and the jitter factors are drawn in blocks,
+        the same doubles one scalar draw per event would give.
+        """
         n = len(trace)
         if n == 0:
             raise ValueError("cannot process an empty trace")
-        rng = np.random.default_rng(self.seed)
+        codes = trace.event_types
+        if codes.min() < 0 or codes.max() > max(EventType):
+            raise ValueError("trace contains unknown event types")
         machine = two_level_machine()
+        # Per event code: its service mean, the state it is valid from
+        # when the UE's state is unknown or the event violates it, and
+        # the state it leads to from there.
+        means = [self.service_means.get(e, 0.005) for e in EventType]
+        source = [_canonical_source_for(machine, e) for e in EventType]
+        fallback = [machine.next_state(source[e], e) for e in EventType]
+        transitions = {
+            (state, int(e)): machine.next_state(state, e)
+            for state in machine.states
+            for e in EventType
+            if machine.can_fire(state, e)
+        }
 
         workers: List[float] = [float(trace.times[0])] * self.num_workers
-        heapq.heapify(workers)
-
-        waits = np.empty(n, dtype=np.float64)
-        latencies = np.empty(n, dtype=np.float64)
+        waits = array("d")
+        latencies = array("d")
+        wait, latency = waits.append, latencies.append
+        draw = jitter_factors(np.random.default_rng(self.seed), self.service_jitter, n)
+        heapreplace = heapq.heapreplace
         busy = 0.0
         violations = 0
-        ue_state: Dict[int, Optional[str]] = {}
-        events_by_type: Dict[EventType, int] = {e: 0 for e in EventType}
+        ue_state: Dict[int, str] = {}
 
-        for i in range(n):
-            arrival = float(trace.times[i])
-            event = EventType(int(trace.event_types[i]))
-            ue = int(trace.ue_ids[i])
-            events_by_type[event] += 1
-
+        for arrival, code, ue in zip(
+            trace.times.tolist(), codes.tolist(), trace.ue_ids.tolist()
+        ):
             # Per-UE protocol check (lenient: unknown start state).
-            state = ue_state.get(ue)
+            state = transitions.get((ue_state.get(ue, source[code]), code))
             if state is None:
-                # Initialize from the first event's canonical source.
-                state = _canonical_source_for(machine, event)
-            if machine.can_fire(state, event):
-                state = machine.next_state(state, event)
-            else:
                 violations += 1
-                state = machine.next_state(
-                    _canonical_source_for(machine, event), event
-                )
+                state = fallback[code]
             ue_state[ue] = state
 
-            free = heapq.heappop(workers)
-            start = max(arrival, free)
-            service = self._service_time(event, rng)
-            heapq.heappush(workers, start + service)
-            waits[i] = start - arrival
-            latencies[i] = waits[i] + service
+            free = workers[0]
+            start = free if free > arrival else arrival
+            service = means[code] * draw()
+            heapreplace(workers, start + service)
+            w = start - arrival
+            wait(w)
+            latency(w + service)
             busy += service
 
         span = float(trace.times[-1] - trace.times[0])
         capacity = self.num_workers * max(span, 1e-9)
+        waits = np.asarray(waits)
         p50, p95, p99 = np.percentile(waits, [50.0, 95.0, 99.0])
+        counts = np.bincount(codes, minlength=len(EventType))
         return MmeReport(
             num_events=n,
             span=span,
@@ -144,9 +150,9 @@ class MmeSimulator:
             p95_wait=float(p95),
             p99_wait=float(p99),
             max_wait=float(waits.max()),
-            mean_latency=float(latencies.mean()),
+            mean_latency=float(np.asarray(latencies).mean()),
             utilization=min(1.0, busy / capacity),
             throughput=n / max(span, 1e-9),
             protocol_violations=violations,
-            events_by_type=events_by_type,
+            events_by_type={e: int(counts[e]) for e in EventType},
         )

@@ -17,14 +17,18 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from typing import Dict, List, Mapping, Optional, Tuple
+from array import array
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..telemetry import RunTelemetry, get_telemetry
 from ..trace.events import EventType
 from ..trace.trace import Trace
-from .procedures import Procedure, functions_for, procedures_for
+from .procedures import functions_for, procedures_for
+
+#: Service-time jitter factors drawn per numpy call.
+JITTER_BLOCK = 8192
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,26 +74,19 @@ class CoreReport:
 
 
 class _FunctionQueue:
-    """A FIFO pool of ``workers`` servers for one network function."""
+    """A FIFO pool of ``workers`` servers for one network function.
+
+    ``free_at`` is a min-heap of the times each server next falls idle;
+    ``waits`` holds one queueing delay per message, in service order.
+    """
 
     __slots__ = ("name", "free_at", "busy", "waits")
 
     def __init__(self, name: str, workers: int, start: float) -> None:
         self.name = name
         self.free_at = [start] * workers
-        heapq.heapify(self.free_at)
         self.busy = 0.0
-        self.waits: List[float] = []
-
-    def serve(self, arrival: float, service: float) -> float:
-        """Admit a message; return its completion time."""
-        free = heapq.heappop(self.free_at)
-        start = max(arrival, free)
-        finish = start + service
-        heapq.heappush(self.free_at, finish)
-        self.waits.append(start - arrival)
-        self.busy += service
-        return finish
+        self.waits = array("d")
 
 
 class CoreNetworkSimulator:
@@ -165,50 +162,84 @@ class CoreNetworkSimulator:
                 functions={},
                 procedures={},
             )
-        t0 = float(trace.times[0])
+        times = trace.times
+        t0 = float(times.min())
+        span = float(times.max()) - t0
         queues = {
             nf: _FunctionQueue(nf, self.workers[nf], t0)
             for nf in self.function_names
         }
-        latencies: Dict[str, List[float]] = {
-            p.name: [] for p in self.procedures.values()
-        }
-        skipped = 0
+        latencies = {p.name: array("d") for p in self.procedures.values()}
 
-        # Event heap entries: (time, tiebreak, procedure, step_idx, event_t0)
+        # Flat step table: one row per (procedure, step) with its queue,
+        # mean service time and the row of the next step (-1 on the last
+        # one, whose latency goes to the procedure's sink).  ``first`` and
+        # ``length`` map an event code to its procedure's first row and
+        # step count; codes without a procedure (TAU in a 5GC) keep -1/0.
+        steps = []
+        sinks = []
+        num_codes = int(max(EventType)) + 1
+        first = np.full(num_codes, -1, dtype=np.int64)
+        length = np.zeros(num_codes, dtype=np.int64)
+        for event, procedure in self.procedures.items():
+            first[int(event)] = len(steps)
+            length[int(event)] = len(procedure.steps)
+            for k, step in enumerate(procedure.steps):
+                last = k + 1 == len(procedure.steps)
+                queue = queues[step.nf]
+                steps.append((
+                    queue, queue.free_at, queue.waits.append, step.service_mean,
+                    -1 if last else len(steps) + 1,
+                ))
+                sinks.append(latencies[procedure.name].append if last else None)
+
+        codes = trace.event_types
+        if codes.min() < 0 or codes.max() >= num_codes:
+            raise ValueError("trace contains unknown event types")
+        # Arrivals in stable time order, unhandled events dropped.
+        order = np.argsort(times, kind="stable")
+        arrival_steps = first[codes[order]]
+        handled = arrival_steps >= 0
+        arrival_times = times[order[handled]].tolist()
+        arrival_steps = arrival_steps[handled].tolist()
+        num_messages = int(length[codes].sum())
+        draw = jitter_factors(rng, self.service_jitter, num_messages)
+
+        # Merge the time-ordered arrivals with a heap of the follow-up
+        # steps still in flight.  An arrival wins a tie with a follow-up
+        # and follow-ups tie-break by creation order: the (time, counter)
+        # order of one global heap whose arrivals were all pushed first.
+        link_delay = self.link_delay
         counter = itertools.count()
-        heap: List[Tuple[float, int, Procedure, int, float]] = []
-        for i in range(len(trace)):
-            event = EventType(int(trace.event_types[i]))
-            procedure = self.procedures.get(event)
-            if procedure is None:
-                skipped += 1  # e.g. TAU driven into a 5GC
-                continue
-            t = float(trace.times[i])
-            heapq.heappush(heap, (t, next(counter), procedure, 0, t))
-
-        num_messages = 0
-        while heap:
-            t, _, procedure, step_idx, started = heapq.heappop(heap)
-            step = procedure.steps[step_idx]
-            service = self._service_time(step.service_mean, rng)
-            finish = queues[step.nf].serve(t, service)
-            num_messages += 1
-            if step_idx + 1 < len(procedure.steps):
-                heapq.heappush(
-                    heap,
-                    (
-                        finish + self.link_delay,
-                        next(counter),
-                        procedure,
-                        step_idx + 1,
-                        started,
-                    ),
-                )
+        heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
+        heap: List[Tuple[float, int, int, float]] = []
+        num_arrivals = len(arrival_times)
+        i = 0
+        next_arrival = arrival_times[0] if num_arrivals else 0.0
+        while True:
+            if heap and (i == num_arrivals or heap[0][0] < next_arrival):
+                t, _, s, started = heappop(heap)
+            elif i < num_arrivals:
+                t = started = next_arrival
+                s = arrival_steps[i]
+                i += 1
+                if i < num_arrivals:
+                    next_arrival = arrival_times[i]
             else:
-                latencies[procedure.name].append(finish - started)
+                break
+            queue, free_at, wait, mean, following = steps[s]
+            service = mean * draw()
+            free = free_at[0]
+            start = free if free > t else t
+            finish = start + service
+            heapreplace(free_at, finish)
+            wait(start - t)
+            queue.busy += service
+            if following >= 0:
+                heappush(heap, (finish + link_delay, next(counter), following, started))
+            else:
+                sinks[s](finish - started)
 
-        span = float(trace.times[-1] - trace.times[0])
         capacity = {nf: self.workers[nf] * max(span, 1e-9) for nf in queues}
         functions = {}
         for nf, queue in queues.items():
@@ -236,14 +267,28 @@ class CoreNetworkSimulator:
             )
         return CoreReport(
             core=self.core,
-            num_events=len(trace) - skipped,
+            num_events=num_arrivals,
             num_messages=num_messages,
             span=span,
             functions=functions,
             procedures=procedures,
         )
 
-    def _service_time(self, mean: float, rng: np.random.Generator) -> float:
-        if self.service_jitter == 0:
-            return mean
-        return mean * rng.uniform(1.0 - self.service_jitter, 1.0 + self.service_jitter)
+
+def jitter_factors(
+    rng: np.random.Generator, jitter: float, count: int
+) -> Callable[[], float]:
+    """Next-factor function for ``count`` jittered service times.
+
+    The factors are ``rng.uniform(1 - jitter, 1 + jitter)`` drawn
+    :data:`JITTER_BLOCK` at a time; numpy's Generator yields the same
+    doubles as one scalar call per factor, and exactly ``count`` are
+    drawn.  Without jitter every factor is 1.0 and nothing is drawn.
+    """
+    if jitter == 0:
+        return itertools.repeat(1.0).__next__
+    sizes = [JITTER_BLOCK] * (count // JITTER_BLOCK)
+    if count % JITTER_BLOCK:
+        sizes.append(count % JITTER_BLOCK)
+    blocks = (rng.uniform(1.0 - jitter, 1.0 + jitter, size).tolist() for size in sizes)
+    return itertools.chain.from_iterable(blocks).__next__

@@ -74,6 +74,15 @@ class Trace:
         if len(lengths) != 1:
             raise ValueError(f"column lengths differ: {sorted(lengths)}")
 
+        if validate and len(times) > 0:
+            # Checked before sorting so the row index is the caller's.
+            bad = np.flatnonzero(~np.isfinite(times))
+            if bad.size:
+                raise ValueError(
+                    f"trace contains {bad.size} non-finite timestamp(s) "
+                    f"(NaN or inf); first at row {bad[0]}"
+                )
+
         if sort and len(times) > 1:
             order = np.lexsort((ue_ids, times))
             ue_ids = ue_ids[order]

@@ -129,6 +129,34 @@ class TestSimulateGroundTruth:
         b = simulate_ground_truth(20, 3600.0, seed=3)
         assert a == b
 
+    @pytest.mark.parametrize(
+        "ues, hours, seed, start_hour, digest",
+        [
+            (
+                {DeviceType.PHONE: 90, DeviceType.CONNECTED_CAR: 35, DeviceType.TABLET: 25},
+                4, 42, 17,
+                "16a60fd7fafb2453a746d757ac702804350a46ee3da3111508670dcb72d433a6",
+            ),
+            (
+                300, 2, 7, 18,
+                "8b052d18cd8529fee991c0f1a0c102cb06f93dbf1183600095f8f04019beb35e",
+            ),
+        ],
+    )
+    def test_content_hash_pinned(self, ues, hours, seed, start_hour, digest):
+        """The ground truth is bit-stable: the CONNECTED-dwell mixture draw
+        picks its component from one uniform, as ``Generator.choice`` did."""
+        trace = simulate_ground_truth(
+            ues, duration=hours * 3600.0, seed=seed, start_hour=start_hour
+        )
+        assert trace.content_hash() == digest
+
+    def test_mixture_cdf_matches_choice(self):
+        spec = DEFAULT_PROFILES[DeviceType.PHONE].connected_sojourn
+        cumulative = np.cumsum(spec.weights)
+        assert spec.cdf == tuple(cumulative / cumulative[-1])
+        assert spec.cdf[-1] == 1.0
+
     def test_seed_changes_output(self):
         a = simulate_ground_truth(20, 3600.0, seed=3)
         b = simulate_ground_truth(20, 3600.0, seed=4)

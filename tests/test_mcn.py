@@ -7,6 +7,7 @@ from repro.mcn import DEFAULT_SERVICE_MEANS, MmeReport, MmeSimulator
 from repro.trace import DeviceType, EventType, Trace
 
 from conftest import make_trace
+from mcn_oracle import reference_mme_report
 
 E = EventType
 P = DeviceType.PHONE
@@ -100,3 +101,33 @@ class TestProcessing:
         tr = TrafficGenerator(base_model_set).generate(60, start_hour=18, seed=4)
         report = MmeSimulator().process(tr)
         assert report.protocol_violations > 0
+
+
+class TestOracleEquality:
+    """The table-driven loop reports exactly what the per-event one did."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_ground_truth(self, workers, jitter, ground_truth_trace):
+        window = ground_truth_trace.window(0, 3600.0)
+        sim = MmeSimulator(workers, service_jitter=jitter, seed=3)
+        assert repr(sim.process(window)) == repr(reference_mme_report(sim, window))
+
+    def test_violating_traffic(self, base_model_set):
+        from repro.generator import TrafficGenerator
+        tr = TrafficGenerator(base_model_set).generate(60, start_hour=18, seed=4)
+        sim = MmeSimulator(seed=2)
+        report = sim.process(tr)
+        assert report.protocol_violations > 0
+        assert repr(report) == repr(reference_mme_report(sim, tr))
+
+    def test_custom_service_means(self, synthesized_trace):
+        sim = MmeSimulator(2, service_means={E.SRV_REQ: 0.05}, seed=1)
+        report = sim.process(synthesized_trace)
+        assert repr(report) == repr(reference_mme_report(sim, synthesized_trace))
+
+    def test_unknown_event_code_rejected(self):
+        tr = Trace(np.array([1]), np.array([0.0]), np.array([9]), np.array([0]),
+                   validate=False)
+        with pytest.raises(ValueError, match="unknown event"):
+            MmeSimulator().process(tr)

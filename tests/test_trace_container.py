@@ -36,6 +36,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             make_trace([(1, -1.0, E.ATCH, P)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"1 non-finite timestamp.*first at row 1"):
+            make_trace([(1, 0.0, E.ATCH, P), (1, bad, E.SRV_REQ, P)])
+
+    def test_non_finite_rows_counted_before_sorting(self):
+        """The count and the first bad index refer to the rows as given."""
+        with pytest.raises(ValueError, match=r"2 non-finite timestamp.*first at row 1"):
+            Trace(
+                np.array([0, 1, 2]),
+                np.array([1.0, np.nan, np.inf]),
+                np.zeros(3),
+                np.zeros(3),
+            )
+
+    def test_non_finite_time_allowed_without_validation(self):
+        tr = Trace(np.array([0]), np.array([np.nan]), np.zeros(1), np.zeros(1),
+                   validate=False)
+        assert len(tr) == 1
+
     def test_unknown_event_rejected(self):
         with pytest.raises(ValueError, match="unknown event"):
             Trace(

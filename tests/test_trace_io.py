@@ -142,3 +142,33 @@ class TestContentHash:
             sample.event_types, sample.device_types,
         )
         assert shifted.content_hash() != sample.content_hash()
+
+
+class TestNonFiniteTimestamps:
+    """Readers reject NaN / inf timestamps, naming how many and where."""
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_csv(self, bad, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "ue_id,time,event,device\n"
+            "1,0.5,ATCH,PHONE\n"
+            f"1,{bad},SRV_REQ,PHONE\n"
+        )
+        with pytest.raises(ValueError, match="1 non-finite timestamp.*first at row 1"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("compress", [True, False])
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_npz(self, compress, mmap, tmp_path):
+        path = tmp_path / "bad.npz"
+        save = np.savez_compressed if compress else np.savez
+        save(
+            path,
+            ue_ids=np.array([1, 1, 2], dtype=np.int64),
+            times=np.array([0.5, np.inf, np.nan]),
+            event_types=np.array([0, 2, 2], dtype=np.int8),
+            device_types=np.zeros(3, dtype=np.int8),
+        )
+        with pytest.raises(ValueError, match="2 non-finite timestamp.*first at row 1"):
+            read_npz(path, mmap=mmap)
