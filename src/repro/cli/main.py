@@ -22,9 +22,12 @@ dot        emit Graphviz DOT for any of the paper's state machines
 telemetry  summarize a telemetry report written by --telemetry
 ========== =========================================================
 
-Traces are read/written by extension: ``.npz`` (compact) or ``.csv``.
-Model sets are JSON, gzipped when the path ends in ``.gz``.  The
-``fit``, ``generate``, ``validate``, ``evaluate`` and ``core`` commands take
+Traces are read/written by extension: ``.npz`` (compact) or ``.csv``;
+an unsupported extension is rejected before the command does any work.
+Model sets are JSON, gzipped when the path ends in ``.gz``.  Every
+output file is replaced atomically, so a killed run never leaves a
+truncated file under the real name.  The ``simulate``, ``fit``,
+``generate``, ``validate``, ``evaluate`` and ``core`` commands take
 ``--telemetry PATH`` to write a versioned, schema-validated
 observability report of the run (see :mod:`repro.telemetry`);
 ``repro telemetry summarize PATH`` renders its per-phase breakdown.
@@ -96,21 +99,28 @@ _MACHINES = {
 }
 
 
+def _check_trace_path(path: str) -> str:
+    """Return ``path`` if its extension names a trace format, else exit.
+
+    Commands call this on every trace path before any work starts, so a
+    bad ``--out`` fails at once rather than after the stage has run.
+    """
+    if not path.endswith((".npz", ".csv")):
+        raise SystemExit(f"unsupported trace extension: {path} (use .npz or .csv)")
+    return path
+
+
 def _load_trace(path: str, *, mmap: bool = False) -> Trace:
-    if path.endswith(".npz"):
+    if _check_trace_path(path).endswith(".npz"):
         return read_npz(path, mmap=mmap)
-    if path.endswith(".csv"):
-        return read_csv(path)
-    raise SystemExit(f"unsupported trace extension: {path} (use .npz or .csv)")
+    return read_csv(path)
 
 
 def _save_trace(trace: Trace, path: str) -> None:
-    if path.endswith(".npz"):
+    if _check_trace_path(path).endswith(".npz"):
         write_npz(trace, path)
-    elif path.endswith(".csv"):
-        write_csv(trace, path)
     else:
-        raise SystemExit(f"unsupported trace extension: {path} (use .npz or .csv)")
+        write_csv(trace, path)
 
 
 def _device_counts(args: argparse.Namespace):
@@ -134,14 +144,30 @@ def _device_counts(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    trace = simulate_ground_truth(
-        _device_counts(args),
-        duration=args.hours * 3600.0,
-        seed=args.seed,
-        start_hour=args.start_hour,
+    _check_trace_path(args.out)
+    tele = RunTelemetry(
+        {
+            "command": "simulate",
+            "start_hour": args.start_hour,
+            "num_hours": args.hours,
+            "seed": args.seed,
+        }
     )
-    _save_trace(trace, args.out)
+    counts = _device_counts(args)
+    with tele.span("simulate"):
+        trace = simulate_ground_truth(
+            counts,
+            duration=args.hours * 3600.0,
+            seed=args.seed,
+            start_hour=args.start_hour,
+        )
+    tele.count("events_emitted", len(trace))
+    with tele.span("trace-write"):
+        _save_trace(trace, args.out)
     print(f"wrote {len(trace):,} events / {trace.num_ues} UEs to {args.out}")
+    if args.telemetry:
+        tele.write_report(args.telemetry)
+        print(f"telemetry report -> {args.telemetry}")
     return 0
 
 
@@ -194,6 +220,7 @@ def _print_progress(phase: str, done: int, total: int) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    _check_trace_path(args.out)
     tele = RunTelemetry(
         {
             "command": "generate",
@@ -345,6 +372,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_anonymize(args: argparse.Namespace) -> int:
+    _check_trace_path(args.out)
     trace = _load_trace(args.trace)
     _save_trace(anonymize(trace, seed=args.seed), args.out)
     print(f"anonymized {trace.num_ues} UEs -> {args.out}")
@@ -503,6 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hours", type=float, default=24.0)
     p.add_argument("--start-hour", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--telemetry", default=None, metavar="PATH",
+                   help="write a schema-validated JSON telemetry report "
+                        "of the run to PATH")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
 import zipfile
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -46,6 +45,7 @@ import numpy as np
 
 from ..model.model_set import ModelSet
 from ..trace.events import DeviceType
+from ..trace.io import write_npz_arrays
 from ..trace.trace import Trace
 from .compiled import population_for_counts
 from .ue_generator import UeSession
@@ -163,7 +163,7 @@ class GenerationCheckpoint:
 
     # ------------------------------------------------------------------
     def save(self, path: "str | os.PathLike[str]") -> None:
-        """Atomically write the checkpoint (temp file + ``os.replace``).
+        """Atomically write the checkpoint (``trace.io.write_npz_arrays``).
 
         Every snapshot is recorded on the ambient telemetry collector:
         a ``checkpoint`` span entry plus the ``checkpoint_snapshots``
@@ -204,21 +204,7 @@ class GenerationCheckpoint:
             for name, col in zip(_COLUMN_NAMES, cols):
                 arrays[f"chunk{idx}_{name}"] = col
 
-        path = os.fspath(path)
-        directory = os.path.dirname(path) or "."
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        write_npz_arrays(path, arrays)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -26,10 +26,10 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
+from ..trace.io import atomic_writer
 from ..trace.trace import Trace
 from .model_set import ModelSet
 
@@ -99,14 +99,6 @@ def store_cached(cache_dir: PathLike, key: str, model_set: ModelSet) -> Path:
     """Atomically store ``model_set`` under ``key``; returns the entry path."""
     path = _entry_path(cache_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        prefix=".modelset-", suffix=".pkl", dir=str(path.parent)
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            pickle.dump(model_set, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    with atomic_writer(path) as handle:
+        pickle.dump(model_set, handle, protocol=pickle.HIGHEST_PROTOCOL)
     return path

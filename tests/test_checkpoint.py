@@ -10,6 +10,7 @@ structured :class:`ChunkFailedError`.
 
 import itertools
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -195,6 +196,73 @@ class TestSerialCheckpoint:
         path.write_bytes(b"this is not a checkpoint")
         with pytest.raises(CheckpointError):
             generator.generate(POP, checkpoint_path=path, resume=True, **RUN)
+
+
+class TestCheckpointFile:
+    """The checkpoint stays a plain ``.npz`` that is replaced atomically."""
+
+    def _interrupted(self, generator, engine, path, monkeypatch):
+        """Run until the second hour's snapshot, then kill the run."""
+        target = CompiledPopulation if engine == "compiled" else UeSession
+        original = target.advance_hour
+        calls = itertools.count()
+        kill_after = 1 if engine == "compiled" else POP + POP // 2
+
+        def dying(self, *args, **kwargs):
+            if next(calls) >= kill_after:
+                raise KeyboardInterrupt
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(target, "advance_hour", dying)
+        with pytest.raises(KeyboardInterrupt):
+            generator.generate(POP, engine=engine, checkpoint_path=path, **RUN)
+        monkeypatch.setattr(target, "advance_hour", original)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_numpy_savez_compressed_checkpoint_resumes_bit_identical(
+        self, generator, baselines, engine, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "run.npz"
+        self._interrupted(generator, engine, path, monkeypatch)
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+        with np.load(path, allow_pickle=False) as data:
+            members = {name: data[name] for name in data.files}
+        np.savez_compressed(path, **members)
+
+        resumed = generator.generate(
+            POP, engine=engine, checkpoint_path=path, resume=True, **RUN
+        )
+        assert_traces_equal(baselines[engine], resumed)
+
+    def test_failed_save_keeps_previous_checkpoint(
+        self, generator, baselines, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "run.npz"
+        self._interrupted(generator, "compiled", path, monkeypatch)
+        before = path.read_bytes()
+        checkpoint = GenerationCheckpoint.load(path)
+        checkpoint.hours_done += 1
+        write_array = np.lib.format.write_array
+        calls = itertools.count()
+
+        def failing(fp, array, *args, **kwargs):
+            if next(calls) == 1:
+                raise OSError("disk full")
+            return write_array(fp, array, *args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", failing)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["run.npz"]
+        resumed = generator.generate(
+            POP, checkpoint_path=path, resume=True, **RUN
+        )
+        assert_traces_equal(baselines["compiled"], resumed)
 
 
 class TestStreamingCheckpoint:

@@ -80,6 +80,62 @@ class TestSimulate:
             main(["simulate", "--ues", "2", "--out", str(tmp_path / "t.parquet")])
 
 
+    def test_telemetry_report(self, tmp_path, capsys):
+        import json
+
+        from repro.telemetry import validate_report
+
+        out, report_path = tmp_path / "trace.npz", tmp_path / "sim.json"
+        assert main(
+            ["simulate", "--phones", "5", "--hours", "1", "--seed", "3",
+             "--out", str(out), "--telemetry", str(report_path)]
+        ) == 0
+        assert f"telemetry report -> {report_path}" in capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        validate_report(report)
+        assert report["run"]["command"] == "simulate"
+        assert {"simulate", "trace-write"} <= set(report["spans"])
+        assert report["counters"]["events_emitted"] == len(read_npz(out))
+
+
+class TestBadPathRejectedBeforeWork:
+    """An unsupported trace extension fails before the stage runs."""
+
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        import importlib
+
+        cli = importlib.import_module("repro.cli.main")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("stage ran before the path was checked")
+
+        for name in ("simulate_ground_truth", "TrafficGenerator",
+                     "generate_parallel", "anonymize", "read_npz", "read_csv"):
+            monkeypatch.setattr(cli, name, must_not_run)
+
+    def test_simulate(self, tmp_path, no_work):
+        with pytest.raises(SystemExit, match="extension.*x.parquet"):
+            main(["simulate", "--ues", "300", "--hours", "2",
+                  "--out", str(tmp_path / "x.parquet")])
+        assert not (tmp_path / "x.parquet").exists()
+
+    @pytest.mark.parametrize("processes", ["1", "2"])
+    def test_generate(self, workspace, no_work, processes):
+        with pytest.raises(SystemExit, match="extension.*y.parquet"):
+            main(["generate", "--model", str(workspace / "model.json.gz"),
+                  "--ues", "20", "--processes", processes,
+                  "--out", str(workspace / "y.parquet")])
+
+    @pytest.mark.parametrize("trace, out", [("real.npz", "anon.parquet"),
+                                            ("real.parquet", "anon.npz")])
+    def test_anonymize(self, workspace, no_work, trace, out):
+        bad = out if out.endswith(".parquet") else trace
+        with pytest.raises(SystemExit, match=f"extension.*{bad}"):
+            main(["anonymize", "--trace", str(workspace / trace),
+                  "--out", str(workspace / out)])
+
+
 class TestFitGenerateRoundtrip:
     def test_fit_then_generate(self, workspace, capsys):
         model_out = workspace / "fitted.json.gz"

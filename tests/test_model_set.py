@@ -1,5 +1,9 @@
 """Tests for model persistence and containers (repro.model.model_set)."""
 
+import gzip
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -79,6 +83,44 @@ class TestPersistence:
         a = TrafficGenerator(ours_model_set).generate(40, start_hour=18, seed=5)
         b = TrafficGenerator(back).generate(40, start_hour=18, seed=5)
         assert a == b
+
+    def test_gzip_file_is_plain_gzipped_json(self, ours_model_set, tmp_path):
+        path = tmp_path / "model.json.gz"
+        ours_model_set.save(path)
+        with gzip.open(path, "rt") as fh:
+            assert json.load(fh) == ours_model_set.to_dict()
+
+    def test_level9_gzip_file_still_loads(self, ours_model_set, tmp_path):
+        path = tmp_path / "model.json.gz"
+        with gzip.open(path, "wt", compresslevel=9) as fh:
+            fh.write(json.dumps(ours_model_set.to_dict()))
+        back = ModelSet.load(path)
+        assert back.content_hash() == ours_model_set.content_hash()
+
+    @pytest.mark.parametrize("name", ["model.json.gz", "model.json"])
+    def test_roundtrip_preserves_content_hash(self, ours_model_set, tmp_path, name):
+        ours_model_set.save(tmp_path / name)
+        back = ModelSet.load(tmp_path / name)
+        assert back.content_hash() == ours_model_set.content_hash()
+
+    def test_failed_save_keeps_existing_file(
+        self, ours_model_set, base_model_set, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "model.json.gz"
+        ours_model_set.save(path)
+        before = path.read_bytes()
+        write = gzip.GzipFile.write
+
+        def failing(self, data):
+            data = bytes(data)
+            write(self, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(gzip.GzipFile, "write", failing)
+        with pytest.raises(OSError, match="disk full"):
+            base_model_set.save(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.json.gz"]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):

@@ -1,5 +1,10 @@
 """Tests for trace serialization (repro.trace.io)."""
 
+import csv
+import itertools
+import os
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,7 @@ from repro.trace import (
     write_csv,
     write_npz,
 )
+from repro.trace.io import write_npz_arrays
 
 from conftest import make_trace
 
@@ -91,6 +97,131 @@ class TestNpz:
         path = tmp_path / "empty.npz"
         write_npz(Trace.empty(), path)
         assert len(read_npz(path)) == 0
+
+
+class TestNpzFormat:
+    """The archive stays a plain ``.npz``: ours and numpy's read both ways."""
+
+    COLUMNS = ("ue_ids", "times", "event_types", "device_types")
+
+    @pytest.mark.parametrize(
+        "compress, compress_type",
+        [(True, zipfile.ZIP_DEFLATED), (False, zipfile.ZIP_STORED)],
+    )
+    def test_members_are_npy_files_a_bare_np_load_reads(
+        self, sample, tmp_path, compress, compress_type
+    ):
+        path = tmp_path / "trace.npz"
+        write_npz(sample, path, compress=compress)
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert sorted(i.filename for i in infos) == sorted(
+            f"{name}.npy" for name in self.COLUMNS
+        )
+        assert {i.compress_type for i in infos} == {compress_type}
+        with np.load(path) as data:
+            for name in self.COLUMNS:
+                assert np.array_equal(data[name], getattr(sample, name))
+
+    @pytest.mark.parametrize("compress", [True, False])
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_all_columns_roundtrip_exactly(
+        self, sample, tmp_path, compress, mmap, empty
+    ):
+        trace = Trace.empty() if empty else sample
+        path = tmp_path / "trace.npz"
+        write_npz(trace, path, compress=compress)
+        back = read_npz(path, mmap=mmap)
+        for name in self.COLUMNS:
+            ours, theirs = getattr(back, name), getattr(trace, name)
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_numpy_savez_compressed_file_still_loads(self, sample, tmp_path, mmap):
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path, **{name: getattr(sample, name) for name in self.COLUMNS}
+        )
+        assert read_npz(path, mmap=mmap) == sample
+
+    def test_missing_suffix_appended_like_np_savez(self, sample, tmp_path):
+        write_npz(sample, tmp_path / "trace")
+        assert os.listdir(tmp_path) == ["trace.npz"]
+        assert read_npz(tmp_path / "trace.npz") == sample
+
+
+class TestAtomicWrite:
+    """A write that fails part-way leaves the old file, and no temp file."""
+
+    @pytest.fixture()
+    def other(self):
+        return make_trace([(7, 1.0, E.TAU, P), (8, 2.0, E.S1_CONN_REL, P)])
+
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_failed_npz_write_keeps_existing_file(
+        self, sample, other, tmp_path, monkeypatch, compress
+    ):
+        path = tmp_path / "trace.npz"
+        write_npz(sample, path)
+        before = path.read_bytes()
+        calls = itertools.count()
+        write_array = np.lib.format.write_array
+
+        def failing(fp, array, *args, **kwargs):
+            if next(calls) == 2:  # after two of the four columns
+                raise OSError("disk full")
+            return write_array(fp, array, *args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "write_array", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_npz(other, path, compress=compress)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["trace.npz"]
+
+    def test_failed_csv_write_keeps_existing_file(
+        self, sample, other, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "trace.csv"
+        write_csv(sample, path)
+        before = path.read_bytes()
+        real_writer = csv.writer
+
+        class Failing:
+            def __init__(self, fh):
+                self._writer = real_writer(fh)
+                self._rows = 0
+
+            def writerow(self, row):
+                if self._rows == 2:
+                    raise OSError("disk full")
+                self._rows += 1
+                return self._writer.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", Failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_csv(other, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["trace.csv"]
+
+    def test_interrupt_is_not_swallowed(self, tmp_path):
+        path = tmp_path / "arrays.npz"
+
+        class Exploding:
+            def __array__(self, dtype=None, copy=None):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_npz_arrays(path, {"a": np.arange(3), "b": Exploding()})
+        assert os.listdir(tmp_path) == []
+
+    def test_file_mode_matches_plain_open(self, sample, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        path = tmp_path / "trace.npz"
+        write_npz(sample, path)
+        assert path.stat().st_mode == plain.stat().st_mode
 
 
 class TestNpzMmap:
