@@ -1,18 +1,21 @@
-"""Compiled vs reference engine throughput.
+"""Compiled engine vs reference generator throughput.
 
-Measures per-UE-hour synthesis cost for every device type under both
-generation engines at two population sizes, and writes the results as
+Measures per-UE-hour synthesis cost for every device type with the
+compiled engine and with the reference generator it is tested against
+(:func:`~repro.generator.ue_generator.generate_reference`) at two
+population sizes, and writes the results as
 machine-readable JSON (``benchmarks/results/BENCH_generator.json``) so
 regressions can be tracked across commits.  The compiled engine's win
 grows with population size: vectorized cohort stepping amortizes its
-per-round cost over every active UE, while the reference engine pays
-Python-level interpreter work per event.
+per-round cost over every active UE, while the reference generator
+pays Python-level interpreter work per event.
 """
 
 import json
 import time
 
-from repro.generator import ENGINES, TrafficGenerator
+from repro.generator import TrafficGenerator
+from repro.generator.ue_generator import generate_reference
 from repro.trace import DeviceType
 from repro.validation import format_table
 
@@ -22,14 +25,23 @@ POPULATIONS = (200, 2000)
 REPEATS = 2
 
 
-def _best_time(generator, num_ues, device, hour, engine):
+def _engines(generator):
+    """``name -> generate(counts, **run)`` for the two generators."""
+    return {
+        "compiled": generator.generate,
+        "reference": lambda counts, **run: generate_reference(
+            generator.model_set, counts, **run
+        ),
+    }
+
+
+def _best_time(generate, num_ues, device, hour):
     best = float("inf")
     events = 0
     for _ in range(REPEATS):
         start = time.perf_counter()
-        trace = generator.generate(
-            {device: num_ues}, start_hour=hour, num_hours=1, seed=3,
-            engine=engine,
+        trace = generate(
+            {device: num_ues}, start_hour=hour, num_hours=1, seed=3
         )
         best = min(best, time.perf_counter() - start)
         events = len(trace)
@@ -50,9 +62,9 @@ def test_compiled_vs_reference_speed(method_models, busy_hour):
         pop = {}
         for device in DeviceType:
             per_device = {}
-            for engine in ENGINES:
+            for engine, generate in _engines(generator).items():
                 elapsed, events = _best_time(
-                    generator, num_ues, device, busy_hour, engine
+                    generate, num_ues, device, busy_hour
                 )
                 per_device[engine] = {
                     "per_ue_hour_ms": elapsed / num_ues * 1e3,

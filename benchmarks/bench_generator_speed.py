@@ -11,7 +11,8 @@ well under a second and phones (the busiest devices) cost the most.
 import contextlib
 import time
 
-from repro.generator import ENGINES, TrafficGenerator
+from repro.generator import TrafficGenerator
+from repro.generator.ue_generator import generate_reference
 from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType
 from repro.validation import format_table
@@ -42,14 +43,13 @@ def test_generator_per_ue_speed(benchmark, method_models, busy_hour):
     for dt in DeviceType:
         per_engine = {}
         events = 0
-        for engine in ENGINES:
-            start = time.perf_counter()
-            tr = generator.generate(
-                {dt: UES_PER_DEVICE}, start_hour=busy_hour, num_hours=1,
-                seed=3, engine=engine,
-            )
-            per_engine[engine] = time.perf_counter() - start
-            events = len(tr)
+        run = dict(start_hour=busy_hour, num_hours=1, seed=3)
+        start = time.perf_counter()
+        events = len(generator.generate({dt: UES_PER_DEVICE}, **run))
+        per_engine["compiled"] = time.perf_counter() - start
+        start = time.perf_counter()
+        generate_reference(generator.model_set, {dt: UES_PER_DEVICE}, **run)
+        per_engine["reference"] = time.perf_counter() - start
         rows.append(
             [
                 dt.name,
@@ -84,64 +84,49 @@ class _NullTelemetry(RunTelemetry):
 
 def test_telemetry_overhead(method_models, busy_hour):
     """The tentpole's always-on-counters contract: telemetry collection
-    must add <3% to generation time on this bench's workload."""
+    must add <3% to generation time on this bench's workload.  (The
+    reference generator is a test oracle and reports no telemetry.)"""
     generator = TrafficGenerator(method_models["ours"])
-    rows = []
-    for engine, pop in (("compiled", 1000), ("reference", UES_PER_DEVICE)):
-        timings = {}
-        for label, make_tele in (
-            ("off", _NullTelemetry),
-            ("on", RunTelemetry),
-        ):
-            generator.generate(  # warm caches before timing
-                {DeviceType.PHONE: pop},
-                start_hour=busy_hour,
-                num_hours=1,
-                seed=3,
-                engine=engine,
-                telemetry=make_tele(),
-            )
-            best = min(
-                _timed(
-                    generator,
-                    {DeviceType.PHONE: pop},
-                    busy_hour,
-                    engine,
-                    make_tele(),
-                )
-                for _ in range(5)
-            )
-            timings[label] = best
-        overhead = timings["on"] / timings["off"] - 1.0
-        rows.append(
+    population = {DeviceType.PHONE: 1000}
+    timings = {}
+    for label, make_tele in (
+        ("off", _NullTelemetry),
+        ("on", RunTelemetry),
+    ):
+        # warm caches before timing
+        _timed(generator, population, busy_hour, make_tele())
+        timings[label] = min(
+            _timed(generator, population, busy_hour, make_tele())
+            for _ in range(5)
+        )
+    overhead = timings["on"] / timings["off"] - 1.0
+    text = format_table(
+        ["Engine", "UEs", "telemetry no-op", "telemetry on", "overhead"],
+        [
             [
-                engine,
-                f"{pop:,}",
+                "compiled",
+                f"{population[DeviceType.PHONE]:,}",
                 f"{timings['off'] * 1e3:,.1f} ms",
                 f"{timings['on'] * 1e3:,.1f} ms",
                 f"{overhead * 100.0:+.2f}%",
             ]
-        )
-        assert overhead < 0.03, (
-            f"{engine}: telemetry overhead {overhead:.1%} breaches the "
-            "<3% always-on budget"
-        )
-    text = format_table(
-        ["Engine", "UEs", "telemetry no-op", "telemetry on", "overhead"],
-        rows,
+        ],
         title="Telemetry overhead: always-on counters vs no-op collector",
     )
     write_result("telemetry_overhead", text)
+    assert overhead < 0.03, (
+        f"compiled: telemetry overhead {overhead:.1%} breaches the "
+        "<3% always-on budget"
+    )
 
 
-def _timed(generator, population, busy_hour, engine, telemetry):
+def _timed(generator, population, busy_hour, telemetry):
     start = time.perf_counter()
     generator.generate(
         population,
         start_hour=busy_hour,
         num_hours=1,
         seed=3,
-        engine=engine,
         telemetry=telemetry,
     )
     return time.perf_counter() - start

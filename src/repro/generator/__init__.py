@@ -9,11 +9,10 @@ from .checkpoint import (
 from .compiled import CompiledModelSet, CompiledPopulation, compile_model_set
 from .parallel import ChunkFailedError, generate_parallel
 from .streaming import stream_events, stream_to_trace
-from .traffgen import ENGINES, MAX_SEED, TrafficGenerator, validate_run_args
+from .traffgen import MAX_SEED, TrafficGenerator, validate_run_args
 from .ue_generator import MAX_EVENTS_PER_HOUR, UeSession, generate_ue_events
 
 __all__ = [
-    "ENGINES",
     "MAX_EVENTS_PER_HOUR",
     "MAX_SEED",
     "CheckpointError",

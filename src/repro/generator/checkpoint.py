@@ -4,24 +4,20 @@ The paper's week-long 37K-UE traces (§7) assume multi-hour generation
 that real infrastructure cannot promise to keep alive; this module
 makes runs *restartable* instead.  A :class:`GenerationCheckpoint`
 snapshots run progress — completed hours (or, for the parallel path,
-completed chunks), the per-UE carryover state, RNG provenance, and the
+completed chunks), the per-UE chain states, RNG provenance, and the
 content hash of the fitted model set — to a single file that is always
-replaced atomically (write-to-temp + ``os.replace``), so a crash at any
+replaced atomically (``trace.io.write_npz_arrays``), so a crash at any
 instant leaves either the previous checkpoint or the new one, never a
 torn file.
 
-Because both engines derive every random draw from a per-UE substream
-that is a pure function of ``(seed, ue position)`` — a Philox counter
-for the compiled engine, ``SeedSequence(seed, spawn_key=(i,))`` for the
-reference engine — the carryover needed for bit-identical continuation
-is tiny:
+Every random draw is a Philox counter keyed on ``(seed, ue position)``,
+so the carryover needed for bit-identical continuation is tiny:
 
-- **compiled**: the per-UE chain-state array plus the hour counter
-  (:meth:`CompiledPopulation.snapshot`); personas and Philox keys are
-  replayed from the seed.
-- **reference**: the per-UE chain state *and* the exact PCG64
-  bit-generator state (:meth:`UeSession.snapshot`), since the reference
-  RNG stream is stateful.
+- **generate / stream**: the per-UE chain-state array plus the hour
+  counter (:meth:`CompiledPopulation.snapshot`); personas and Philox
+  keys are replayed from the seed.  A ``generate`` checkpoint also holds
+  the events of the finished hours, a ``stream`` checkpoint the number
+  of events already yielded.
 - **parallel**: completed chunks are independent pure functions of the
   run parameters, so the checkpoint simply stores their finished event
   columns and the remaining chunks are (re)generated.
@@ -39,16 +35,15 @@ import dataclasses
 import json
 import os
 import zipfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..model.model_set import ModelSet
+from ..telemetry import get_telemetry
 from ..trace.events import DeviceType
 from ..trace.io import write_npz_arrays
-from ..trace.trace import Trace
-from .compiled import population_for_counts
-from .ue_generator import UeSession
+from .compiled import Columns, CompiledPopulation
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -59,9 +54,6 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "repro-generation-checkpoint-v1"
-
-#: Four event columns: (ue_ids, times, event_types, device_types).
-Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 _COLUMN_NAMES = ("ue", "time", "event", "device")
 _COLUMN_DTYPES = (np.int64, np.float64, np.int8, np.int8)
@@ -75,16 +67,8 @@ class CheckpointMismatchError(CheckpointError):
     """A checkpoint was produced by a run with different parameters."""
 
 
-def _rng_provenance(engine: str) -> Dict[str, str]:
-    """What produced the random streams (recorded, checked by humans)."""
-    return {
-        "numpy": np.__version__,
-        "rng": (
-            "philox4x64-10 counter"
-            if engine == "compiled"
-            else "pcg64 + seedsequence spawn_key"
-        ),
-    }
+#: What produced the random streams (recorded, checked by humans).
+_RNG_PROVENANCE = {"numpy": np.__version__, "rng": "philox4x64-10 counter"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,7 +76,6 @@ class RunKey:
     """Everything that determines a generation run's output bits."""
 
     kind: str                #: "generate" | "parallel" | "stream"
-    engine: str
     seed: int
     start_hour: int
     num_hours: int
@@ -108,7 +91,6 @@ class RunKey:
         counts: Dict[DeviceType, int],
         *,
         kind: str,
-        engine: str,
         seed: int,
         start_hour: int,
         num_hours: int,
@@ -117,7 +99,6 @@ class RunKey:
     ) -> "RunKey":
         return cls(
             kind=kind,
-            engine=engine,
             seed=int(seed),
             start_hour=int(start_hour),
             num_hours=int(num_hours),
@@ -126,6 +107,42 @@ class RunKey:
             model_hash=model_set.content_hash(),
             chunk_size=int(chunk_size),
         )
+
+    @classmethod
+    def from_dict(cls, fields: Any, source: str) -> "RunKey":
+        """Rebuild a key read from the checkpoint ``source``.
+
+        Keys written while the generator still had an ``engine`` option
+        carry that field; ``"compiled"`` is the engine every run now
+        uses, any other value belongs to a different run.  Unknown or
+        missing fields raise :class:`CheckpointError` naming them.
+        """
+        if not isinstance(fields, dict):
+            raise CheckpointError(f"{source}: run key is not a mapping")
+        fields = dict(fields)
+        engine = fields.pop("engine", "compiled")
+        if engine != "compiled":
+            raise CheckpointMismatchError(
+                f"{source}: checkpoint does not belong to this run — "
+                f"engine: checkpoint has {engine!r}, run has 'compiled'"
+            )
+        known = {f.name: f for f in dataclasses.fields(cls)}
+        problems = []
+        unknown = sorted(set(fields) - set(known))
+        if unknown:
+            problems.append(f"unknown fields {unknown}")
+        missing = sorted(
+            name
+            for name, f in known.items()
+            if name not in fields and f.default is dataclasses.MISSING
+        )
+        if missing:
+            problems.append(f"missing fields {missing}")
+        if problems:
+            raise CheckpointError(
+                f"{source}: malformed run key — " + "; ".join(problems)
+            )
+        return cls(**fields)
 
     def validate_against(self, run: "RunKey") -> None:
         """Raise :class:`CheckpointMismatchError` naming every mismatch."""
@@ -147,19 +164,61 @@ class GenerationCheckpoint:
     """One run's resumable progress (see module docstring).
 
     Only the fields relevant to the run ``kind`` are populated:
-    ``columns`` + one carryover field for ``generate``, a carryover
-    field + ``events_emitted`` for ``stream``, ``chunk_columns`` for
-    ``parallel``.
+    ``population_state`` + ``columns`` for ``generate``,
+    ``population_state`` + ``events_emitted`` for ``stream``,
+    ``chunk_columns`` for ``parallel``.
     """
 
     key: RunKey
     hours_done: int = 0
     events_emitted: int = 0  #: stream runs: events yielded so far
-    population_state: Optional[np.ndarray] = None   # compiled carryover
-    sessions: Optional[List[dict]] = None           # reference carryover
+    population_state: Optional[np.ndarray] = None   # per-UE chain states
     columns: Optional[Columns] = None               # accumulated events
     chunk_columns: Dict[int, Columns] = dataclasses.field(default_factory=dict)
     provenance: Dict[str, Any] = dataclasses.field(default_factory=dict)
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def start(
+        cls,
+        path: "str | os.PathLike[str]",
+        key: RunKey,
+        *,
+        resume: bool,
+        population: Optional[CompiledPopulation] = None,
+    ) -> "GenerationCheckpoint":
+        """Open the checkpoint of the run ``key`` at ``path``.
+
+        With ``resume`` the file is loaded and verified against ``key``,
+        and ``population`` (if given) continues from its chain states
+        and hour counter.  Otherwise a fresh checkpoint is saved before
+        any work, so a run killed before its first snapshot still
+        leaves a resumable file.
+        """
+        if resume:
+            checkpoint = cls.load_for_run(path, key)
+            if population is not None:
+                if checkpoint.population_state is None:
+                    raise CheckpointError(
+                        f"{path}: checkpoint is missing the population "
+                        "carryover state"
+                    )
+                population.restore(
+                    checkpoint.population_state, checkpoint.hours_done
+                )
+            return checkpoint
+        checkpoint = cls(key=key)
+        if population is not None:
+            checkpoint.population_state = population.snapshot()[0]
+        checkpoint.save(path)
+        return checkpoint
+
+    def snapshot(
+        self, population: CompiledPopulation, path: "str | os.PathLike[str]"
+    ) -> None:
+        """Record ``population``'s carryover state and save to ``path``."""
+        self.population_state, self.hours_done = population.snapshot()
+        self.save(path)
 
     # ------------------------------------------------------------------
     def save(self, path: "str | os.PathLike[str]") -> None:
@@ -169,11 +228,9 @@ class GenerationCheckpoint:
         a ``checkpoint`` span entry plus the ``checkpoint_snapshots``
         and ``checkpoint_bytes`` counters.
         """
-        from ..telemetry import get_telemetry
-
-        with get_telemetry().span("checkpoint"):
-            self._save(path)
         tele = get_telemetry()
+        with tele.span("checkpoint"):
+            self._save(path)
         tele.count("checkpoint_snapshots")
         try:
             tele.count("checkpoint_bytes", os.path.getsize(path))
@@ -186,11 +243,10 @@ class GenerationCheckpoint:
             "key": dataclasses.asdict(self.key),
             "hours_done": int(self.hours_done),
             "events_emitted": int(self.events_emitted),
-            "sessions": self.sessions,
             "completed_chunks": sorted(self.chunk_columns),
             "has_population_state": self.population_state is not None,
             "has_columns": self.columns is not None,
-            "provenance": self.provenance,
+            "provenance": _RNG_PROVENANCE,
         }
         arrays: Dict[str, np.ndarray] = {"meta": np.asarray(json.dumps(meta))}
         if self.population_state is not None:
@@ -218,6 +274,7 @@ class GenerationCheckpoint:
                         f"{path}: unknown checkpoint format "
                         f"{meta.get('format')!r}"
                     )
+                key = RunKey.from_dict(meta.get("key"), str(path))
                 population_state = (
                     np.asarray(data["population_state"], dtype=np.int32)
                     if meta["has_population_state"]
@@ -235,22 +292,23 @@ class GenerationCheckpoint:
                         np.asarray(data[f"chunk{idx}_{name}"], dtype=dtype)
                         for name, dtype in zip(_COLUMN_NAMES, _COLUMN_DTYPES)
                     )
+                return cls(
+                    key=key,
+                    hours_done=int(meta["hours_done"]),
+                    events_emitted=int(meta["events_emitted"]),
+                    population_state=population_state,
+                    columns=columns,
+                    chunk_columns=chunk_columns,
+                    provenance=meta.get("provenance", {}),
+                )
         except CheckpointError:
             raise
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        except (
+            OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile
+        ) as exc:
             raise CheckpointError(
                 f"cannot read checkpoint {path}: {exc}"
             ) from exc
-        return cls(
-            key=RunKey(**meta["key"]),
-            hours_done=int(meta["hours_done"]),
-            events_emitted=int(meta["events_emitted"]),
-            population_state=population_state,
-            sessions=meta["sessions"],
-            columns=columns,
-            chunk_columns=chunk_columns,
-            provenance=meta.get("provenance", {}),
-        )
 
     @classmethod
     def load_for_run(
@@ -260,210 +318,3 @@ class GenerationCheckpoint:
         checkpoint = cls.load(path)
         checkpoint.key.validate_against(key)
         return checkpoint
-
-
-# ---------------------------------------------------------------------------
-# Shared run machinery for the serial / streaming entry points
-# ---------------------------------------------------------------------------
-
-
-def build_reference_sessions(
-    model_set: ModelSet,
-    counts: Dict[DeviceType, int],
-    *,
-    seed: int,
-    start_hour: int,
-) -> List[UeSession]:
-    """One :class:`UeSession` per UE, in generation order.
-
-    Substream ``i`` of ``SeedSequence(seed).spawn(total)`` is derived
-    directly as ``SeedSequence(seed, spawn_key=(i,))`` — O(1) per UE —
-    exactly as the batch and parallel reference paths do, so all three
-    consume identical randomness.
-    """
-    machine = model_set.machine()
-    sessions: List[UeSession] = []
-    idx = 0
-    for device_type in sorted(counts, key=int):
-        personas = np.asarray(
-            model_set.device_ues.get(device_type, []), dtype=np.int64
-        )
-        if counts[device_type] > 0 and personas.size == 0:
-            raise ValueError(
-                f"no fitted model for device type {device_type.name}"
-            )
-        for _ in range(counts[device_type]):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(idx,))
-            )
-            idx += 1
-            persona = int(personas[rng.integers(personas.size)])
-            sessions.append(
-                UeSession(
-                    model_set,
-                    device_type,
-                    persona,
-                    start_hour=start_hour,
-                    rng=rng,
-                    machine=machine,
-                )
-            )
-    return sessions
-
-
-def restore_reference_sessions(
-    model_set: ModelSet,
-    snapshots: List[dict],
-    *,
-    start_hour: int,
-) -> List[UeSession]:
-    """Rebuild the session list from checkpointed snapshots."""
-    machine = model_set.machine()
-    return [
-        UeSession.from_snapshot(
-            model_set, snap, start_hour=start_hour, machine=machine
-        )
-        for snap in snapshots
-    ]
-
-
-def generate_checkpointed(
-    model_set: ModelSet,
-    counts: Dict[DeviceType, int],
-    *,
-    engine: str,
-    start_hour: int,
-    num_hours: int,
-    seed: int,
-    first_ue_id: int,
-    checkpoint_path: "str | os.PathLike[str]",
-    resume: bool,
-) -> Trace:
-    """Materialize a trace hour by hour, checkpointing after each hour.
-
-    Produces output bit-identical to
-    :meth:`TrafficGenerator.generate` with the same arguments and no
-    checkpointing: the compiled path runs the very same per-hour cohort
-    stepping, and the reference path emits the same per-UE event
-    sequences (hour-major instead of UE-major, which the trace's stable
-    ``(time, ue)`` sort normalizes away).
-    """
-    if checkpoint_path is None:
-        raise ValueError("resume=True requires checkpoint_path")
-    key = RunKey.for_run(
-        model_set,
-        counts,
-        kind="generate",
-        engine=engine,
-        seed=seed,
-        start_hour=start_hour,
-        num_hours=num_hours,
-        first_ue_id=first_ue_id,
-    )
-    hours_done = 0
-    parts: List[Columns] = []
-    checkpoint: Optional[GenerationCheckpoint] = None
-    if resume:
-        checkpoint = GenerationCheckpoint.load_for_run(checkpoint_path, key)
-        hours_done = checkpoint.hours_done
-        if checkpoint.columns is not None and len(checkpoint.columns[0]):
-            parts.append(checkpoint.columns)
-
-    def _save(carryover_state=None, sessions=None) -> None:
-        GenerationCheckpoint(
-            key=key,
-            hours_done=hours_done,
-            population_state=carryover_state,
-            sessions=sessions,
-            columns=_concat_columns(parts),
-            provenance=_rng_provenance(engine),
-        ).save(checkpoint_path)
-
-    from ..telemetry import get_telemetry
-
-    tele = get_telemetry()
-    total_ues = sum(counts.values())
-
-    if engine == "compiled":
-        population = population_for_counts(
-            model_set, counts, seed=seed, start_hour=start_hour
-        )
-        if checkpoint is not None:
-            if checkpoint.population_state is None:
-                raise CheckpointError(
-                    f"{checkpoint_path}: compiled-engine checkpoint is "
-                    "missing the population carryover state"
-                )
-            population.restore(checkpoint.population_state, hours_done)
-        elif hours_done == 0:
-            _save(carryover_state=population.snapshot()[0])
-        draws_before = population.rng_draws
-        for _ in range(hours_done, num_hours):
-            rows, times, events = population.advance_hour()
-            if len(rows):
-                parts.append(
-                    (
-                        first_ue_id + rows,
-                        times,
-                        events.astype(np.int8),
-                        population.device_codes[rows],
-                    )
-                )
-            hours_done += 1
-            tele.count("ue_hours", total_ues)
-            tele.progress("generate", hours_done, num_hours)
-            _save(carryover_state=population.snapshot()[0])
-        tele.count("rng_draws", population.rng_draws - draws_before)
-    else:
-        if checkpoint is not None:
-            if checkpoint.sessions is None:
-                raise CheckpointError(
-                    f"{checkpoint_path}: reference-engine checkpoint is "
-                    "missing the per-UE session snapshots"
-                )
-            sessions = restore_reference_sessions(
-                model_set, checkpoint.sessions, start_hour=start_hour
-            )
-        else:
-            sessions = build_reference_sessions(
-                model_set, counts, seed=seed, start_hour=start_hour
-            )
-            # One persona draw per freshly created session (see traffgen).
-            tele.count("rng_draws", len(sessions))
-            _save(sessions=[s.snapshot() for s in sessions])
-        for _ in range(hours_done, num_hours):
-            rng_draws = 0
-            for position, session in enumerate(sessions):
-                times, events = session.advance_hour()
-                rng_draws += 2 * len(times)  # estimate, see traffgen
-                if times:
-                    k = len(times)
-                    parts.append(
-                        (
-                            np.full(k, first_ue_id + position, dtype=np.int64),
-                            np.asarray(times, dtype=np.float64),
-                            np.asarray(events, dtype=np.int8),
-                            np.full(k, int(session.device_type), dtype=np.int8),
-                        )
-                    )
-            hours_done += 1
-            tele.count("ue_hours", total_ues)
-            tele.count("rng_draws", rng_draws)
-            tele.progress("generate", hours_done, num_hours)
-            _save(sessions=[s.snapshot() for s in sessions])
-
-    columns = _concat_columns(parts)
-    if len(columns[0]) == 0:
-        return Trace.empty()
-    return Trace(*columns, validate=False)
-
-
-def _concat_columns(parts: List[Columns]) -> Columns:
-    """Concatenate per-hour column blocks (typed empties when none)."""
-    if not parts:
-        return tuple(
-            np.empty(0, dtype=dtype) for dtype in _COLUMN_DTYPES
-        )
-    return tuple(
-        np.concatenate([p[i] for p in parts]) for i in range(4)
-    )

@@ -1,13 +1,15 @@
-"""Compiled vectorized generation engine (the ``engine="compiled"`` path).
+"""The generation engine: compiled, vectorized cohort stepping.
 
-The reference generator walks one Python-level :meth:`SemiMarkovChain.step`
-per event: it re-reads the edge list, draws the edge with ``rng`` calls and
-the dwell with a scalar ``np.interp`` — tens of microseconds of interpreter
-work per event.  This module lowers every (device, hour) model of a
-:class:`~repro.model.model_set.ModelSet` into flat NumPy arrays once
-(:func:`compile_model_set`, memoized per model set) and then advances *all
-active UEs of a device-hour together*, so the per-event cost is a few
-vectorized array operations shared by the whole cohort:
+The reference generator (:func:`repro.generator.ue_generator.
+generate_reference`, kept as a test oracle) walks one Python-level
+:meth:`SemiMarkovChain.step` per event: it re-reads the edge list, draws
+the edge with ``rng`` calls and the dwell with a scalar ``np.interp`` —
+tens of microseconds of interpreter work per event.  This module lowers
+every (device, hour) model of a :class:`~repro.model.model_set.ModelSet`
+into flat NumPy arrays once (:func:`compile_model_set`, memoized per
+model set) and then advances *all active UEs of a device-hour together*,
+so the per-event cost is a few vectorized array operations shared by the
+whole cohort:
 
 - **Merged edge table (CSR)** — all clusters of an hour model share one
   flat table: cluster ``c``'s state ``s`` becomes merged code ``c * S + s``
@@ -33,23 +35,29 @@ vectorized array operations shared by the whole cohort:
   bit-identical by construction, and per-worker setup is O(chunk), not
   O(population).
 
-The engine is statistically equivalent to the reference path (same fitted
-edge probabilities, identical inverse-transform dwell curves, same
-first-event and overlay models) but does not reproduce its RNG stream;
-``engine="reference"`` remains the oracle.
+Every generation mode — plain, checkpointed, streamed and each parallel
+chunk — runs the same hour loop, :func:`hour_blocks`, which is also the
+one place the ``ue_hours`` / ``rng_draws`` counters and progress are
+reported.
+
+The engine is statistically equivalent to the reference generator (same
+fitted edge probabilities, identical inverse-transform dwell curves,
+same first-event and overlay models) but does not reproduce its RNG
+stream; the test suite pins the two KS-equivalent.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..model.model_set import ClusterModel, HourModel, ModelSet
 from ..model.semi_markov import MIN_SOJOURN
 from ..statemachines.replay import _canonical_source_for
+from ..telemetry import RunTelemetry, get_telemetry
 from ..trace.events import (
     SECONDS_PER_HOUR,
     DeviceType,
@@ -59,11 +67,19 @@ from ..trace.events import (
 from . import ue_generator
 
 __all__ = [
+    "Columns",
     "CompiledModelSet",
     "CompiledPopulation",
     "compile_model_set",
+    "concat_columns",
+    "hour_blocks",
     "philox4x64",
 ]
+
+#: Four event columns: (ue_ids, times, event_types, device_types).
+Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+_COLUMN_DTYPES = (np.int64, np.float64, np.int8, np.int8)
 
 # ---------------------------------------------------------------------------
 # Vectorized Philox-4x64-10 (Random123 / np.random.Philox constants)
@@ -595,8 +611,6 @@ def compile_model_set(model_set: ModelSet) -> CompiledModelSet:
     """Lower ``model_set``, memoizing the result on the instance."""
     cached = getattr(model_set, "_compiled_cache", None)
     if cached is None:
-        from ..telemetry import get_telemetry
-
         with get_telemetry().span("model-compile"):
             cached = CompiledModelSet(model_set)
         model_set._compiled_cache = cached
@@ -660,6 +674,11 @@ class CompiledPopulation:
         #: chain-step, and overlay draws) — exact for this engine, read
         #: by the telemetry layer as the ``rng_draws`` counter.
         self.rng_draws = n
+
+    @property
+    def hours_done(self) -> int:
+        """Hours advanced so far (or restored from a checkpoint)."""
+        return self._next_hour_idx
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Tuple[np.ndarray, int]:
@@ -1058,40 +1077,44 @@ def population_for_counts(
     )
 
 
-def generate_columns(
+def hour_blocks(
     population: CompiledPopulation,
     num_hours: int,
     first_ue_id: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run ``num_hours`` and return (ue, time, event, device) columns."""
-    from ..telemetry import get_telemetry
+    *,
+    phase: str = "generate",
+    tele: Optional[RunTelemetry] = None,
+) -> Iterator[Columns]:
+    """The one hour loop: yield each remaining hour's event columns.
 
-    tele = get_telemetry()
+    Advances ``population`` from its hour counter (0, or the hour a
+    checkpoint restored) to ``num_hours`` and yields one ``(ue, time,
+    event, device)`` block per hour, sorted by ``(time, ue, event)``.
+    Every hour bumps ``ue_hours`` and ``rng_draws`` and reports
+    ``phase`` progress on ``tele`` (default: the ambient collector).
+    """
+    if tele is None:
+        tele = get_telemetry()
     num_ues = len(population.device_codes)
-    draws_before = population.rng_draws
-    ue_col, time_col, event_col, device_col = [], [], [], []
-    for hour in range(num_hours):
+    for hour_idx in range(population.hours_done, num_hours):
+        draws_before = population.rng_draws
         rows, times, events = population.advance_hour()
         tele.count("ue_hours", num_ues)
-        tele.progress("generate", hour + 1, num_hours)
-        if len(rows) == 0:
-            continue
-        ue_col.append(first_ue_id + rows)
-        time_col.append(times)
-        event_col.append(events.astype(np.int8))
-        device_col.append(population.device_codes[rows])
-    tele.count("rng_draws", population.rng_draws - draws_before)
-    if not ue_col:
-        empty = np.empty(0)
-        return (
-            empty.astype(np.int64),
-            empty,
-            empty.astype(np.int8),
-            empty.astype(np.int8),
+        tele.count("rng_draws", population.rng_draws - draws_before)
+        tele.progress(phase, hour_idx + 1, num_hours)
+        yield (
+            first_ue_id + rows,
+            times,
+            events.astype(np.int8),
+            population.device_codes[rows],
         )
-    return (
-        np.concatenate(ue_col),
-        np.concatenate(time_col),
-        np.concatenate(event_col),
-        np.concatenate(device_col),
+
+
+def concat_columns(blocks: Iterable[Columns]) -> Columns:
+    """Concatenate column blocks (typed empty columns when none)."""
+    blocks = list(blocks)
+    return tuple(
+        np.concatenate([b[i] for b in blocks]) if blocks
+        else np.empty(0, dtype=dtype)
+        for i, dtype in enumerate(_COLUMN_DTYPES)
     )

@@ -6,12 +6,12 @@ GNU ``parallel``.  Here the same fan-out uses a
 into contiguous chunks, each worker generates its chunk with the *same*
 per-UE random substreams the serial path would use, and the chunks are
 merged in plan order.  The output is bit-identical to
-:meth:`TrafficGenerator.generate` with the same arguments and engine.
+:meth:`TrafficGenerator.generate` with the same arguments.
 
-Per-UE substreams are derived directly from the UE's position in the
-generation order — ``SeedSequence(seed, spawn_key=(position,))`` for
-the reference engine, a Philox counter keyed on the position for the
-compiled engine — so per-worker setup is O(chunk), not O(population).
+Every chunk runs the same hour loop as serial generation
+(:func:`~repro.generator.compiled.hour_blocks`) over its own UEs.  Each
+UE's randomness is a Philox counter keyed on its position in the whole
+generation order, so per-worker setup is O(chunk), not O(population).
 
 **Fault tolerance.**  Chunks are pure functions of the run parameters,
 which makes worker failure cheap to mask:
@@ -50,8 +50,9 @@ from ..model.model_set import ModelSet
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import DeviceType
 from ..trace.trace import Trace
-from .compiled import CompiledPopulation, generate_columns
-from .traffgen import DeviceCounts, TrafficGenerator, _check_engine, validate_run_args
+from .checkpoint import GenerationCheckpoint, RunKey
+from .compiled import CompiledPopulation, concat_columns, hour_blocks
+from .traffgen import DeviceCounts, TrafficGenerator
 
 #: Environment knob for fault-injection tests (see
 #: :func:`_maybe_inject_fault`).  Format:
@@ -63,10 +64,9 @@ from .traffgen import DeviceCounts, TrafficGenerator, _check_engine, validate_ru
 #: output.
 FAULT_ENV = "REPRO_TEST_FAULT"
 
-# Worker-global model set and scratch dir, installed once per process by
-# _init_worker so each task message carries only the chunk bounds.
+# Worker-global model set, installed once per process by _init_worker so
+# each task message carries only the chunk bounds.
 _WORKER_MODEL: Optional[ModelSet] = None
-_WORKER_SCRATCH: Optional[str] = None
 
 
 class ChunkFailedError(RuntimeError):
@@ -104,10 +104,9 @@ class ChunkFailedError(RuntimeError):
         )
 
 
-def _init_worker(model_payload: dict, scratch_dir: Optional[str] = None) -> None:
-    global _WORKER_MODEL, _WORKER_SCRATCH
+def _init_worker(model_payload: dict) -> None:
+    global _WORKER_MODEL
     _WORKER_MODEL = ModelSet.from_dict(model_payload)
-    _WORKER_SCRATCH = scratch_dir
 
 
 def _plan_chunks(
@@ -158,25 +157,8 @@ def _maybe_inject_fault(chunk_idx: int) -> None:
         )
 
 
-def _empty_columns() -> tuple:
-    return (
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float64),
-        np.empty(0, dtype=np.int8),
-        np.empty(0, dtype=np.int8),
-    )
-
-
-def _generate_chunk(
-    args: Tuple[int, int, int, int, int, int, int, int, str]
-) -> Tuple[tuple, dict]:
-    """Generate one chunk inside a worker process.
-
-    Returns ``(columns, telemetry_record)``: the four trace columns plus
-    a chunk-local :meth:`RunTelemetry.child_record` the parent merges
-    into the run's collector.  Checkpoints store columns only, so the
-    record shape never touches the checkpoint format.
-    """
+def _generate_chunk(args: Tuple[int, ...]) -> tuple:
+    """Generate one chunk's ``(ue, time, event, device)`` columns."""
     (
         chunk_idx,
         device_code,
@@ -186,99 +168,17 @@ def _generate_chunk(
         seed,
         start_hour,
         num_hours,
-        engine,
     ) = args
-    tele = RunTelemetry()
-    with use_telemetry(tele):
-        columns = _generate_chunk_columns(
-            chunk_idx,
-            device_code,
-            start_idx,
-            n,
-            first_ue_id,
-            seed,
-            start_hour,
-            num_hours,
-            engine,
-        )
-    return columns, tele.child_record()
-
-
-def _generate_chunk_columns(
-    chunk_idx: int,
-    device_code: int,
-    start_idx: int,
-    n: int,
-    first_ue_id: int,
-    seed: int,
-    start_hour: int,
-    num_hours: int,
-    engine: str,
-) -> tuple:
     assert _WORKER_MODEL is not None, "worker not initialized"
-    if _WORKER_SCRATCH is not None:
-        # Started-marker: lets the parent attribute a pool crash to the
-        # chunks that were actually in flight (see _run_chunks_pool).
-        try:
-            with open(
-                os.path.join(_WORKER_SCRATCH, f"started-{chunk_idx}"), "w"
-            ):
-                pass
-        except OSError:
-            pass
     _maybe_inject_fault(chunk_idx)
-    from .ue_generator import generate_ue_events
-
-    model_set = _WORKER_MODEL
-    device_type = DeviceType(device_code)
-
-    if engine == "compiled":
-        population = CompiledPopulation(
-            model_set,
-            np.full(n, device_code, dtype=np.int8),
-            start_idx + np.arange(n, dtype=np.int64),
-            seed=seed,
-            start_hour=start_hour,
-        )
-        return generate_columns(population, num_hours, first_ue_id)
-
-    machine = model_set.machine()
-    personas = np.asarray(model_set.device_ues[device_type], dtype=np.int64)
-    tele = get_telemetry()
-    rng_draws = 0
-
-    ue_col, time_col, event_col, device_col = [], [], [], []
-    for offset in range(n):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(start_idx + offset,))
-        )
-        persona = int(personas[rng.integers(personas.size)])
-        times, events = generate_ue_events(
-            model_set,
-            device_type,
-            persona,
-            start_hour=start_hour,
-            num_hours=num_hours,
-            rng=rng,
-            machine=machine,
-        )
-        rng_draws += 2 * len(times) + 1  # estimate, see traffgen
-        if times:
-            k = len(times)
-            ue_col.append(np.full(k, first_ue_id + offset, dtype=np.int64))
-            time_col.append(np.asarray(times, dtype=np.float64))
-            event_col.append(np.asarray(events, dtype=np.int8))
-            device_col.append(np.full(k, device_code, dtype=np.int8))
-    tele.count("ue_hours", n * num_hours)
-    tele.count("rng_draws", rng_draws)
-    if not ue_col:
-        return _empty_columns()
-    return (
-        np.concatenate(ue_col),
-        np.concatenate(time_col),
-        np.concatenate(event_col),
-        np.concatenate(device_col),
+    population = CompiledPopulation(
+        _WORKER_MODEL,
+        np.full(n, device_code, dtype=np.int8),
+        start_idx + np.arange(n, dtype=np.int64),
+        seed=seed,
+        start_hour=start_hour,
     )
+    return concat_columns(hour_blocks(population, num_hours, first_ue_id))
 
 
 def generate_parallel(
@@ -291,7 +191,6 @@ def generate_parallel(
     first_ue_id: int = 0,
     processes: Optional[int] = None,
     chunk_size: int = 500,
-    engine: str = "compiled",
     checkpoint_path: "Optional[str | os.PathLike[str]]" = None,
     resume: bool = False,
     max_retries: int = 2,
@@ -302,10 +201,10 @@ def generate_parallel(
 ) -> Trace:
     """Generate a trace using a process pool.
 
-    Produces output identical to ``TrafficGenerator(model_set,
-    engine=engine).generate`` with the same parameters.
-    ``processes=None`` uses all CPUs; pass ``processes=1`` to run the
-    chunked path in-process (useful for tests and debugging).
+    Produces output identical to ``TrafficGenerator(model_set).generate``
+    with the same parameters.  ``processes=None`` uses all CPUs; pass
+    ``processes=1`` to run the chunked path in-process (useful for tests
+    and debugging).
 
     A crashed or raising chunk worker is retried up to ``max_retries``
     times on a fresh process with capped exponential backoff
@@ -322,8 +221,8 @@ def generate_parallel(
     collector) as chunks finish; retries bump ``chunk_retries`` and
     chunks restored from a checkpoint bump ``chunks_resumed``.
     """
-    _check_engine(engine)
-    validate_run_args(
+    counts = TrafficGenerator(model_set)._counts_for_run(
+        num_ues,
         start_hour=start_hour,
         num_hours=num_hours,
         seed=seed,
@@ -340,90 +239,11 @@ def generate_parallel(
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires checkpoint_path")
 
-    tele = telemetry if telemetry is not None else get_telemetry()
-    with use_telemetry(tele), tele.span("generate-parallel"):
-        trace = _run_parallel(
-            model_set,
-            num_ues,
-            start_hour=start_hour,
-            num_hours=num_hours,
-            seed=seed,
-            first_ue_id=first_ue_id,
-            processes=processes,
-            chunk_size=chunk_size,
-            engine=engine,
-            checkpoint_path=checkpoint_path,
-            resume=resume,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            max_backoff=max_backoff,
-            fault_hook=fault_hook,
-        )
-    tele.count("events_emitted", len(trace))
-    tele.record_peak_rss()
-    return trace
-
-
-def _run_parallel(
-    model_set: ModelSet,
-    num_ues: DeviceCounts,
-    *,
-    start_hour: int,
-    num_hours: int,
-    seed: int,
-    first_ue_id: int,
-    processes: Optional[int],
-    chunk_size: int,
-    engine: str,
-    checkpoint_path: "Optional[str | os.PathLike[str]]",
-    resume: bool,
-    max_retries: int,
-    retry_backoff: float,
-    max_backoff: float,
-    fault_hook: Optional[Callable[[int, int], None]],
-) -> Trace:
-    from .checkpoint import GenerationCheckpoint, RunKey, _rng_provenance
-
-    tele = get_telemetry()
-    generator = TrafficGenerator(model_set)
-    counts = generator.resolve_counts(num_ues)
     chunks = _plan_chunks(counts, chunk_size, first_ue_id)
     tasks = {
-        i: (i, device, start_idx, n, ue0, seed, start_hour, num_hours, engine)
+        i: (i, device, start_idx, n, ue0, seed, start_hour, num_hours)
         for i, (device, start_idx, n, ue0) in enumerate(chunks)
     }
-
-    key = None
-    results: Dict[int, tuple] = {}
-    if checkpoint_path is not None:
-        key = RunKey.for_run(
-            model_set,
-            counts,
-            kind="parallel",
-            engine=engine,
-            seed=seed,
-            start_hour=start_hour,
-            num_hours=num_hours,
-            first_ue_id=first_ue_id,
-            chunk_size=chunk_size,
-        )
-        if resume:
-            checkpoint = GenerationCheckpoint.load_for_run(checkpoint_path, key)
-            results = dict(checkpoint.chunk_columns)
-            tele.count("chunks_resumed", len(results))
-
-    def _save() -> None:
-        if checkpoint_path is None:
-            return
-        GenerationCheckpoint(
-            key=key,
-            chunk_columns=results,
-            provenance=_rng_provenance(engine),
-        ).save(checkpoint_path)
-
-    pending = sorted(i for i in tasks if i not in results)
-    if checkpoint_path is not None and not resume:
-        _save()
 
     def _chunk_failed(idx: int, attempts: int, reason: str) -> ChunkFailedError:
         device, _, n, ue0 = chunks[idx]
@@ -435,54 +255,59 @@ def _run_parallel(
             reason,
         )
 
-    if pending:
-        backoff = _Backoff(retry_backoff, max_backoff)
-        if processes == 1:
-            _run_chunks_inline(
+    tele = telemetry if telemetry is not None else get_telemetry()
+    with use_telemetry(tele), tele.span("generate-parallel"):
+        results: Dict[int, tuple] = {}
+        save: Optional[Callable[[], None]] = None
+        if checkpoint_path is not None:
+            key = RunKey.for_run(
                 model_set,
-                tasks,
-                pending,
-                results,
-                max_retries=max_retries,
-                backoff=backoff,
-                fault_hook=fault_hook,
-                chunk_failed=_chunk_failed,
-                save=_save,
+                counts,
+                kind="parallel",
+                seed=seed,
+                start_hour=start_hour,
+                num_hours=num_hours,
+                first_ue_id=first_ue_id,
+                chunk_size=chunk_size,
             )
-        else:
-            run_tasks_pool(
+            checkpoint = GenerationCheckpoint.start(
+                checkpoint_path, key, resume=resume
+            )
+            results = checkpoint.chunk_columns
+            if resume:
+                tele.count("chunks_resumed", len(results))
+
+            def save() -> None:
+                checkpoint.save(checkpoint_path)
+
+        pending = sorted(i for i in tasks if i not in results)
+        if pending:
+            job = (
                 _generate_chunk,
                 model_set.to_dict(),
                 _init_worker,
                 tasks,
                 pending,
                 results,
-                processes=processes,
+            )
+            policy = dict(
                 max_retries=max_retries,
-                backoff=backoff,
+                backoff=_Backoff(retry_backoff, max_backoff),
                 task_failed=_chunk_failed,
-                save=_save,
+                save=save,
                 phase="generate-parallel",
             )
-
-    ue_col, time_col, event_col, device_col = [], [], [], []
-    for i in range(len(chunks)):
-        ue, times, events, devices = results[i]
-        if ue is None or len(ue) == 0:
-            continue
-        ue_col.append(ue)
-        time_col.append(times)
-        event_col.append(events)
-        device_col.append(devices)
-    if not ue_col:
-        return Trace.empty()
-    return Trace(
-        np.concatenate(ue_col),
-        np.concatenate(time_col),
-        np.concatenate(event_col),
-        np.concatenate(device_col),
-        validate=False,
-    )
+            if processes == 1:
+                _run_tasks_inline(*job, fault_hook=fault_hook, **policy)
+            else:
+                run_tasks_pool(*job, processes=processes, **policy)
+        trace = Trace(
+            *concat_columns(results[i] for i in range(len(chunks))),
+            validate=False,
+        )
+    tele.count("events_emitted", len(trace))
+    tele.record_peak_rss()
+    return trace
 
 
 class _Backoff:
@@ -500,47 +325,74 @@ class _Backoff:
             time.sleep(delay)
 
 
-def _run_chunks_inline(
-    model_set: ModelSet,
+def _run_task(
+    worker: Callable[[tuple], Any], scratch: Optional[str], args: tuple
+) -> Tuple[Any, dict]:
+    """Run one task with the runner's per-task bookkeeping.
+
+    Writes the ``started-<idx>`` marker into ``scratch`` (pool runs
+    only) before any real work — that is what lets a pool crash be
+    attributed to the tasks actually in flight — then runs
+    ``worker(args)`` under a task-local collector and returns
+    ``(result, telemetry_child_record)``.
+    """
+    if scratch is not None:
+        try:
+            with open(os.path.join(scratch, f"started-{args[0]}"), "w"):
+                pass
+        except OSError:
+            pass
+    tele = RunTelemetry()
+    with use_telemetry(tele):
+        result = worker(args)
+    return result, tele.child_record()
+
+
+def _run_tasks_inline(
+    worker: Callable[[tuple], Any],
+    payload: Any,
+    initializer: Callable[[Any], None],
     tasks: Dict[int, tuple],
     pending: List[int],
-    results: Dict[int, tuple],
+    results: Dict[int, Any],
     *,
     max_retries: int,
     backoff: _Backoff,
+    task_failed: Callable[[int, int, str], Exception],
+    save: Optional[Callable[[], None]],
+    phase: str,
     fault_hook: Optional[Callable[[int, int], None]],
-    chunk_failed: Callable[[int, int, str], ChunkFailedError],
-    save: Callable[[], None],
 ) -> None:
-    """Run the chunks in-process (``processes=1``), with the retry policy."""
+    """Run the tasks in-process (``processes=1``), with the retry policy."""
     tele = get_telemetry()
     tele.max_gauge("active_workers", 1)
-    _init_worker(model_set.to_dict())
+    initializer(payload)
     for i in pending:
         attempt = 0
         while True:
             try:
                 if fault_hook is not None:
                     fault_hook(i, attempt)
-                columns, record = _generate_chunk(tasks[i])
+                result, record = _run_task(worker, None, tasks[i])
             except Exception as exc:
                 attempt += 1
                 tele.count("chunk_retries")
                 if attempt > max_retries:
-                    raise chunk_failed(i, attempt, repr(exc)) from exc
+                    raise task_failed(i, attempt, repr(exc)) from exc
                 backoff.sleep()
             else:
-                results[i] = columns
+                results[i] = result
                 tele.merge_child(record)
-                tele.progress("generate-parallel", len(results), len(tasks))
-                save()
+                tele.progress(phase, len(results), len(tasks))
+                if save is not None:
+                    save()
                 break
 
 
 def run_tasks_pool(
-    worker: Callable[[tuple], Tuple[Any, dict]],
+    worker: Callable[[tuple], Any],
     payload: Any,
-    initializer: Callable[..., None],
+    initializer: Callable[[Any], None],
     tasks: Dict[int, tuple],
     pending: List[int],
     results: Dict[int, Any],
@@ -555,18 +407,17 @@ def run_tasks_pool(
 ) -> None:
     """Drive a set of pure tasks through process pools until done or failed.
 
-    This is the fault-tolerant pool loop shared by parallel generation
-    and parallel fitting.  The contract:
+    This is the fault-tolerant pool loop shared by parallel generation,
+    fitting and evaluation.  The contract:
 
     - ``tasks[i]`` is the picklable argument tuple for task ``i``; its
-      first element must be ``i`` itself, and ``worker(tasks[i])`` must
-      write a ``started-<i>`` marker file into the scratch directory its
-      initializer received before doing real work (that is what lets a
-      pool crash be attributed to the tasks actually in flight).
-    - ``initializer(payload, scratch_dir)`` installs per-process state.
-    - ``worker`` returns ``(result, telemetry_child_record)``; results
-      land in ``results[i]`` and records are merged into the ambient
-      collector.
+      first element must be ``i`` itself.
+    - ``initializer(payload)`` installs per-process state.
+    - ``worker(tasks[i])`` is a picklable module-level function that
+      returns the task's result.  The runner wraps it (:func:`_run_task`):
+      a ``started-<i>`` marker is written before it runs, and the
+      telemetry it reports is collected per task and merged into the
+      ambient collector; results land in ``results[i]``.
 
     Worker exceptions are attributed to their task directly.  A pool
     break (worker death) is attributed to the started-but-unfinished
@@ -594,12 +445,15 @@ def run_tasks_pool(
             with ProcessPoolExecutor(
                 max_workers=1 if single else processes,
                 initializer=initializer,
-                initargs=(payload, scratch),
+                initargs=(payload,),
             ) as executor:
                 futures = {}
                 try:
                     for i in batch:
-                        futures[executor.submit(worker, tasks[i])] = i
+                        future = executor.submit(
+                            _run_task, worker, scratch, tasks[i]
+                        )
+                        futures[future] = i
                 except BrokenProcessPool:
                     broken = True
                 for future in as_completed(futures):

@@ -3,17 +3,13 @@
 Driving a live MCN (or a real-time monitoring pipeline) needs events in
 timestamp order as they "happen", not a materialized trace.  The
 streaming generator produces exactly the same events as
-:meth:`TrafficGenerator.generate` with the same arguments and engine,
-but yields them one at a time in global time order, holding one hour of
-the population's traffic (plus one light per-UE state record) in
-memory.
+:meth:`TrafficGenerator.generate` with the same arguments, but yields
+them one at a time in global time order, holding one hour of the
+population's traffic (plus one light per-UE state record) in memory.
 
-With the compiled engine the whole population advances through
-:class:`~repro.generator.compiled.CompiledPopulation` in vectorized
-cohort batches; with the reference engine each UE is a resumable
-:class:`~repro.generator.ue_generator.UeSession`.  Either way the
-per-UE randomness matches batch generation, so stream and batch outputs
-match event for event.
+It runs the same hour loop as batch generation
+(:func:`~repro.generator.compiled.hour_blocks`) and yields each hour's
+block, already sorted by ``(time, ue, event)``, event by event.
 
 **Checkpointing.**  With ``checkpoint_path`` the stream snapshots its
 carryover state after each fully yielded hour; ``resume=True`` restarts
@@ -29,14 +25,15 @@ uninterrupted stream event for event (see
 from __future__ import annotations
 
 import os
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from ..model.model_set import ModelSet
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import DeviceType, EventType
 from ..trace.trace import Event, Trace
-from .compiled import population_for_counts
-from .traffgen import DeviceCounts, TrafficGenerator, _check_engine, validate_run_args
+from .checkpoint import GenerationCheckpoint, RunKey
+from .compiled import hour_blocks, population_for_counts
+from .traffgen import DeviceCounts, TrafficGenerator
 
 
 def stream_events(
@@ -47,7 +44,6 @@ def stream_events(
     num_hours: int = 1,
     seed: int = 0,
     first_ue_id: int = 0,
-    engine: str = "compiled",
     checkpoint_path: "Optional[str | os.PathLike[str]]" = None,
     resume: bool = False,
     telemetry: Optional[RunTelemetry] = None,
@@ -55,29 +51,19 @@ def stream_events(
     """Yield the population's events in global time order.
 
     Equivalent to iterating the trace from
-    ``TrafficGenerator(model_set, engine=engine).generate(...)`` with
-    identical arguments, hour by hour.  Arguments are validated eagerly
-    (before the first event is requested).  ``telemetry`` is captured
-    here (not at first ``next()``), so the stream reports to the
-    collector that was ambient at call time unless one is passed
-    explicitly.
+    ``TrafficGenerator(model_set).generate(...)`` with identical
+    arguments, hour by hour.  Arguments are validated eagerly (before
+    the first event is requested).  ``telemetry`` is captured here (not
+    at first ``next()``), so the stream reports to the collector that
+    was ambient at call time unless one is passed explicitly.
     """
-    _check_engine(engine)
-    validate_run_args(
+    counts = TrafficGenerator(model_set)._counts_for_run(
+        num_ues,
         start_hour=start_hour,
         num_hours=num_hours,
         seed=seed,
         first_ue_id=first_ue_id,
     )
-    generator = TrafficGenerator(model_set)
-    counts = generator.resolve_counts(num_ues)
-    for device_type in sorted(counts, key=int):
-        if counts[device_type] > 0 and not model_set.device_ues.get(
-            device_type
-        ):
-            raise ValueError(
-                f"no fitted model for device type {device_type.name}"
-            )
     if resume and checkpoint_path is None:
         raise ValueError("resume=True requires checkpoint_path")
     tele = telemetry if telemetry is not None else get_telemetry()
@@ -88,7 +74,6 @@ def stream_events(
         num_hours=num_hours,
         seed=seed,
         first_ue_id=first_ue_id,
-        engine=engine,
         checkpoint_path=checkpoint_path,
         resume=resume,
         tele=tele,
@@ -97,140 +82,55 @@ def stream_events(
 
 def _stream(
     model_set: ModelSet,
-    counts,
+    counts: Dict[DeviceType, int],
     *,
     start_hour: int,
     num_hours: int,
     seed: int,
     first_ue_id: int,
-    engine: str,
-    checkpoint_path,
+    checkpoint_path: "Optional[str | os.PathLike[str]]",
     resume: bool,
     tele: RunTelemetry,
 ) -> Iterator[Event]:
-    from .checkpoint import (
-        CheckpointError,
-        GenerationCheckpoint,
-        RunKey,
-        _rng_provenance,
-        build_reference_sessions,
-        restore_reference_sessions,
+    population = population_for_counts(
+        model_set, counts, seed=seed, start_hour=start_hour
     )
-
-    key: Optional[RunKey] = None
     checkpoint: Optional[GenerationCheckpoint] = None
-    hours_done = 0
-    events_emitted = 0
     if checkpoint_path is not None:
         key = RunKey.for_run(
             model_set,
             counts,
             kind="stream",
-            engine=engine,
             seed=seed,
             start_hour=start_hour,
             num_hours=num_hours,
             first_ue_id=first_ue_id,
         )
-        if resume:
-            checkpoint = GenerationCheckpoint.load_for_run(checkpoint_path, key)
-            hours_done = checkpoint.hours_done
-            events_emitted = checkpoint.events_emitted
-
-    def _save(population_state=None, sessions=None) -> None:
-        if checkpoint_path is None:
-            return
         # The consumer controls which collector is ambient at next()
         # time; snapshots must report to the stream's captured one.
         with use_telemetry(tele):
-            GenerationCheckpoint(
-                key=key,
-                hours_done=hours_done,
-                events_emitted=events_emitted,
-                population_state=population_state,
-                sessions=sessions,
-                provenance=_rng_provenance(engine),
-            ).save(checkpoint_path)
-
-    if engine == "compiled":
-        population = population_for_counts(
-            model_set, counts, seed=seed, start_hour=start_hour
-        )
-        if checkpoint is not None:
-            if checkpoint.population_state is None:
-                raise CheckpointError(
-                    f"{checkpoint_path}: compiled-engine checkpoint is "
-                    "missing the population carryover state"
-                )
-            population.restore(checkpoint.population_state, hours_done)
-        else:
-            _save(population_state=population.snapshot()[0])
-        total_ues = sum(counts.values())
-        draws_before = population.rng_draws
-        for _ in range(hours_done, num_hours):
-            with tele.span("stream"):
-                rows, times, events = population.advance_hour()
-                devices = population.device_codes[rows]
-            for row, t, ev, dev in zip(rows, times, events, devices):
-                yield Event(
-                    ue_id=first_ue_id + int(row),
-                    time=float(t),
-                    event_type=EventType(int(ev)),
-                    device_type=DeviceType(int(dev)),
-                )
-            hours_done += 1
-            events_emitted += len(rows)
-            tele.count("events_emitted", len(rows))
-            tele.count("ue_hours", total_ues)
-            tele.count("rng_draws", population.rng_draws - draws_before)
-            draws_before = population.rng_draws
-            tele.progress("stream", hours_done, num_hours)
-            _save(population_state=population.snapshot()[0])
-        return
-
-    if checkpoint is not None:
-        if checkpoint.sessions is None:
-            raise CheckpointError(
-                f"{checkpoint_path}: reference-engine checkpoint is "
-                "missing the per-UE session snapshots"
+            checkpoint = GenerationCheckpoint.start(
+                checkpoint_path, key, resume=resume, population=population
             )
-        sessions = restore_reference_sessions(
-            model_set, checkpoint.sessions, start_hour=start_hour
-        )
-    else:
-        sessions = build_reference_sessions(
-            model_set, counts, seed=seed, start_hour=start_hour
-        )
-        # One persona draw per freshly created session (see traffgen).
-        tele.count("rng_draws", len(sessions))
-        _save(sessions=[s.snapshot() for s in sessions])
 
-    for _ in range(hours_done, num_hours):
-        batch: List[Tuple[float, int, int, int]] = []
-        rng_draws = 0
+    blocks = hour_blocks(
+        population, num_hours, first_ue_id, phase="stream", tele=tele
+    )
+    for _ in range(population.hours_done, num_hours):
         with tele.span("stream"):
-            for position, session in enumerate(sessions):
-                times, events = session.advance_hour()
-                rng_draws += 2 * len(times)  # estimate, see traffgen
-                device = int(session.device_type)
-                uid = first_ue_id + position
-                for t, ev in zip(times, events):
-                    batch.append((t, uid, ev, device))
-            batch.sort()
-        for t, uid, ev, dev in batch:
+            ues, times, events, devices = next(blocks)
+        for ue, t, ev, dev in zip(ues, times, events, devices):
             yield Event(
-                ue_id=uid,
-                time=t,
-                event_type=EventType(ev),
-                device_type=DeviceType(dev),
+                ue_id=int(ue),
+                time=float(t),
+                event_type=EventType(int(ev)),
+                device_type=DeviceType(int(dev)),
             )
-        hours_done += 1
-        events_emitted += len(batch)
-        tele.count("events_emitted", len(batch))
-        tele.count("ue_hours", len(sessions))
-        tele.count("rng_draws", rng_draws)
-        tele.progress("stream", hours_done, num_hours)
-        _save(sessions=[s.snapshot() for s in sessions])
+        tele.count("events_emitted", len(ues))
+        if checkpoint is not None:
+            checkpoint.events_emitted += len(ues)
+            with use_telemetry(tele):
+                checkpoint.snapshot(population, checkpoint_path)
 
 
 def stream_to_trace(events: Iterator[Event]) -> Trace:

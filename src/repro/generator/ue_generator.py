@@ -13,15 +13,17 @@ Poisson rates for ``HO``/``TAU``; those are overlaid uniformly over the
 hour, oblivious to the UE state — faithfully reproducing the baseline's
 "HO in IDLE" artifact the paper quantifies in Tables 4/11.
 
-:class:`UeSession` exposes the generation loop one hour at a time so
-that batch (:func:`generate_ue_events`) and streaming
-(:mod:`repro.generator.streaming`) production consume randomness
-identically and therefore emit identical events.
+This is the *reference* generator: one Python-level chain step per
+event, drawn from a per-UE PCG64 stream.  Production generation runs
+the compiled engine (:mod:`repro.generator.compiled`); this module is
+kept as the statistical oracle it is tested against
+(:func:`generate_reference`), and :data:`MAX_EVENTS_PER_HOUR` is the cap
+both engines honour.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from ..trace.events import (
     quantize_times,
     quantize_timestamp,
 )
+from ..trace.trace import Trace
 
 #: Hard per-UE-per-hour event cap; a guard against degenerate fitted
 #: chains (e.g. a self-loop with near-zero sojourn), far above any
@@ -63,50 +66,6 @@ class UeSession:
         self.machine = machine if machine is not None else model_set.machine()
         self.state: Optional[str] = None
         self._next_hour_idx = 0
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """JSON-serializable carryover state for checkpoint/resume.
-
-        Captures everything the next hour depends on: the chain state,
-        the persona, and the *exact* bit-generator state, so a session
-        restored via :meth:`from_snapshot` continues bit-identically.
-        """
-        return {
-            "device": int(self.device_type),
-            "persona": int(self.persona),
-            "state": self.state,
-            "next_hour_idx": int(self._next_hour_idx),
-            "rng": self.rng.bit_generator.state,
-        }
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        model_set: ModelSet,
-        snapshot: dict,
-        *,
-        start_hour: int,
-        machine: Optional[StateMachine] = None,
-    ) -> "UeSession":
-        """Rebuild a session from :meth:`snapshot` output.
-
-        The persona draw is *not* repeated — the restored bit-generator
-        state already sits exactly where the original session left it.
-        """
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = snapshot["rng"]
-        session = cls(
-            model_set,
-            DeviceType(int(snapshot["device"])),
-            int(snapshot["persona"]),
-            start_hour=start_hour,
-            rng=rng,
-            machine=machine,
-        )
-        session.state = snapshot["state"]
-        session._next_hour_idx = int(snapshot["next_hour_idx"])
-        return session
 
     def advance_hour(self) -> Tuple[List[float], List[int]]:
         """Generate the next hour's events (times relative to t=0)."""
@@ -202,6 +161,62 @@ def generate_ue_events(
         times.extend(hour_times)
         events.extend(hour_events)
     return times, events
+
+
+def generate_reference(
+    model_set: ModelSet,
+    counts: Mapping[DeviceType, int],
+    *,
+    start_hour: int,
+    num_hours: int,
+    seed: int,
+    first_ue_id: int = 0,
+) -> Trace:
+    """Generate a population UE by UE with the reference generator.
+
+    The compiled engine's test oracle: same fitted model, an independent
+    RNG stream.  UEs are numbered in device-code order from
+    ``first_ue_id``; UE ``i`` draws from ``SeedSequence(seed,
+    spawn_key=(i,))`` (substream ``i`` of ``SeedSequence(seed).spawn``),
+    first its persona, then its events via :func:`generate_ue_events`.
+    Reports no telemetry.
+    """
+    machine = model_set.machine()
+    ue_col, time_col, event_col, device_col = [], [], [], []
+    position = 0
+    for device_type in sorted(counts, key=int):
+        personas = np.asarray(
+            model_set.device_ues.get(device_type, []), dtype=np.int64
+        )
+        for _ in range(counts[device_type]):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(position,))
+            )
+            persona = int(personas[rng.integers(personas.size)])
+            times, events = generate_ue_events(
+                model_set,
+                device_type,
+                persona,
+                start_hour=start_hour,
+                num_hours=num_hours,
+                rng=rng,
+                machine=machine,
+            )
+            n = len(times)
+            ue_col.append(np.full(n, first_ue_id + position, dtype=np.int64))
+            time_col.append(np.asarray(times, dtype=np.float64))
+            event_col.append(np.asarray(events, dtype=np.int8))
+            device_col.append(np.full(n, int(device_type), dtype=np.int8))
+            position += 1
+    if not sum(len(c) for c in ue_col):
+        return Trace.empty()
+    return Trace(
+        np.concatenate(ue_col),
+        np.concatenate(time_col),
+        np.concatenate(event_col),
+        np.concatenate(device_col),
+        validate=False,
+    )
 
 
 def _overlay_events(

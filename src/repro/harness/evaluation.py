@@ -263,54 +263,36 @@ _EVAL_WORKER: dict = {
     "syn_paths": None,
     "engine": None,
     "syn_num_ues": None,
-    "scratch": None,
     "syn": {},
 }
 
 
-def _init_eval_worker(payload: dict, scratch_dir: Optional[str] = None) -> None:
+def _init_eval_worker(payload: dict) -> None:
     _EVAL_WORKER["real_profiles"] = payload["real_profiles"]
     _EVAL_WORKER["syn_paths"] = payload["syn_paths"]
     _EVAL_WORKER["engine"] = payload["engine"]
     _EVAL_WORKER["syn_num_ues"] = payload["syn_num_ues"]
-    _EVAL_WORKER["scratch"] = scratch_dir
     _EVAL_WORKER["syn"] = {}
 
 
-def _eval_job(args: Tuple[int, str, int]) -> Tuple[tuple, dict]:
+def _eval_job(args: Tuple[int, str, int]) -> tuple:
     """Compute one (method, device) cell inside a worker process."""
-    job_idx, method, device_code = args
-    tele = RunTelemetry()
-    with use_telemetry(tele):
-        metrics = _eval_job_metrics(job_idx, method, device_code)
-    return (method, device_code, metrics), tele.child_record()
-
-
-def _eval_job_metrics(job_idx: int, method: str, device_code: int):
     from ..trace.io import read_npz
 
+    _, method, device_code = args
     real_profiles = _EVAL_WORKER["real_profiles"]
     assert real_profiles is not None, "evaluation worker not initialized"
-    if _EVAL_WORKER["scratch"] is not None:
-        # Started-marker: lets the parent attribute a pool crash to the
-        # jobs that were actually in flight (see run_tasks_pool).
-        try:
-            with open(
-                os.path.join(_EVAL_WORKER["scratch"], f"started-{job_idx}"), "w"
-            ):
-                pass
-        except OSError:
-            pass
     synthesized = _EVAL_WORKER["syn"].get(method)
     if synthesized is None:
         synthesized = read_npz(_EVAL_WORKER["syn_paths"][method], mmap=True)
         _EVAL_WORKER["syn"][method] = synthesized
-    return _device_metrics(
+    metrics = _device_metrics(
         real_profiles[DeviceType(device_code)],
         synthesized,
         engine=_EVAL_WORKER["engine"],
         syn_num_ues=_EVAL_WORKER["syn_num_ues"][method].get(device_code),
     )
+    return method, device_code, metrics
 
 
 def _run_eval_jobs(

@@ -55,7 +55,7 @@ from ..statemachines.compiled_replay import (  # noqa: F401  (re-exported)
     lower_machine,
     vectorized_replay,
 )
-from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
+from ..telemetry import get_telemetry
 from ..trace.events import SECONDS_PER_HOUR, DeviceType, EventType
 from ..trace.trace import Trace
 from .first_event import FirstEventModel
@@ -516,48 +516,29 @@ class FitJobFailedError(RuntimeError):
 _FIT_WORKER: dict = {
     "trace": None,
     "params": None,
-    "scratch": None,
     "devices": {},
 }
 
 
-def _init_fit_worker(payload: dict, scratch_dir: Optional[str] = None) -> None:
+def _init_fit_worker(payload: dict) -> None:
     from ..trace.io import read_npz
 
     _FIT_WORKER["trace"] = read_npz(payload["trace_path"], mmap=True)
     _FIT_WORKER["params"] = payload["params"]
-    _FIT_WORKER["scratch"] = scratch_dir
     _FIT_WORKER["devices"] = {}
 
 
-def _fit_job(args: Tuple[int, int, int, Tuple[int, ...]]) -> Tuple[tuple, dict]:
+def _fit_job(args: Tuple[int, int, int, Tuple[int, ...]]) -> tuple:
     """Fit one (device, hour) job inside a worker process.
 
-    Returns ``((device_code, hour, HourModel), telemetry_record)``; the
-    model objects round-trip bit-exactly through pickling (plain
-    ``__dict__`` state, no ``__init__`` re-run).
+    Returns ``(device_code, hour, HourModel)``; the model objects
+    round-trip bit-exactly through pickling (plain ``__dict__`` state,
+    no ``__init__`` re-run).
     """
-    job_idx, device_code, hour, slots = args
-    tele = RunTelemetry()
-    with use_telemetry(tele):
-        hour_model = _fit_job_model(job_idx, device_code, slots)
-    return (device_code, hour, hour_model), tele.child_record()
-
-
-def _fit_job_model(job_idx: int, device_code: int, slots: Tuple[int, ...]):
+    _, device_code, hour, slots = args
     trace = _FIT_WORKER["trace"]
     params = _FIT_WORKER["params"]
     assert trace is not None and params is not None, "fit worker not initialized"
-    if _FIT_WORKER["scratch"] is not None:
-        # Started-marker: lets the parent attribute a pool crash to the
-        # jobs that were actually in flight (see run_tasks_pool).
-        try:
-            with open(
-                os.path.join(_FIT_WORKER["scratch"], f"started-{job_idx}"), "w"
-            ):
-                pass
-        except OSError:
-            pass
     device_type = DeviceType(device_code)
     engine = params["engine"]
     if engine == "reference":
@@ -568,7 +549,7 @@ def _fit_job_model(job_idx: int, device_code: int, slots: Tuple[int, ...]):
             context = _reference_device_context(trace, device_type)
             _FIT_WORKER["devices"][device_code] = context
         ues, per_ue = context
-        return _reference_fit_device_hour(
+        hour_model = _reference_fit_device_hour(
             per_ue,
             ues,
             list(slots),
@@ -580,11 +561,12 @@ def _fit_job_model(job_idx: int, device_code: int, slots: Tuple[int, ...]):
             theta_n=params["theta_n"],
             max_cdf_points=params["max_cdf_points"],
         )
+        return device_code, hour, hour_model
     dev = _FIT_WORKER["devices"].get(device_code)
     if dev is None:
         dev = device_arrays(trace, device_type, params["total_slots"])
         _FIT_WORKER["devices"][device_code] = dev
-    return fit_device_hour(
+    hour_model = fit_device_hour(
         dev,
         slots,
         table=machine_table(params["machine_kind"]),
@@ -595,6 +577,7 @@ def _fit_job_model(job_idx: int, device_code: int, slots: Tuple[int, ...]):
         theta_n=params["theta_n"],
         max_cdf_points=params["max_cdf_points"],
     )
+    return device_code, hour, hour_model
 
 
 def run_fit_jobs(

@@ -2,13 +2,14 @@
 
 The contract under test: a run interrupted at *any* point and resumed
 from its checkpoint produces output bit-identical to an uninterrupted
-run with the same arguments — for both engines, across the serial,
-streaming, and parallel entry points — and worker failures in
+run with the same arguments — across the serial, streaming, and
+parallel entry points — and worker failures in
 ``generate_parallel`` are either masked transparently or reported as a
 structured :class:`ChunkFailedError`.
 """
 
 import itertools
+import json
 import os
 import zipfile
 
@@ -21,7 +22,6 @@ from repro.generator import (
     ChunkFailedError,
     GenerationCheckpoint,
     TrafficGenerator,
-    UeSession,
     generate_parallel,
     stream_events,
 )
@@ -31,7 +31,9 @@ from repro.trace import DeviceType
 
 from conftest import TRACE_START_HOUR
 
-ENGINES = ("compiled", "reference")
+#: The generation engine.  Tests that once ran per engine keep the
+#: parametrization, so their ids stay stable.
+ENGINES = ("compiled",)
 
 RUN = dict(start_hour=TRACE_START_HOUR, num_hours=3, seed=7)
 POP = 40
@@ -50,12 +52,25 @@ def generator(ours_model_set):
 
 
 @pytest.fixture(scope="module")
-def baselines(generator):
-    """Uninterrupted serial traces per engine — the bit-identity oracle."""
-    return {
-        engine: generator.generate(POP, engine=engine, **RUN)
-        for engine in ENGINES
-    }
+def baseline(generator):
+    """The uninterrupted serial trace — the bit-identity oracle."""
+    return generator.generate(POP, **RUN)
+
+
+def _interrupted(generator, path, monkeypatch):
+    """Run until the second hour's snapshot, then kill the run."""
+    original = CompiledPopulation.advance_hour
+    calls = itertools.count()
+
+    def dying(self, *args, **kwargs):
+        if next(calls) >= 1:
+            raise KeyboardInterrupt
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledPopulation, "advance_hour", dying)
+    with pytest.raises(KeyboardInterrupt):
+        generator.generate(POP, checkpoint_path=path, **RUN)
+    monkeypatch.setattr(CompiledPopulation, "advance_hour", original)
 
 
 class TestModelHash:
@@ -75,56 +90,38 @@ class TestModelHash:
 class TestSerialCheckpoint:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_checkpointed_run_matches_plain(
-        self, generator, baselines, engine, tmp_path
+        self, generator, baseline, engine, tmp_path
     ):
         path = tmp_path / "run.npz"
         trace = generator.generate(
-            POP, engine=engine, checkpoint_path=path, **RUN
+            POP, checkpoint_path=path, **RUN
         )
-        assert_traces_equal(baselines[engine], trace)
+        assert_traces_equal(baseline, trace)
         assert path.exists()
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_interrupt_and_resume_bit_identical(
-        self, generator, baselines, engine, tmp_path, monkeypatch
+        self, generator, baseline, engine, tmp_path, monkeypatch
     ):
         path = tmp_path / "run.npz"
-        calls = itertools.count()
-
         # Kill the run partway through the second hour.
-        if engine == "compiled":
-            target, name = CompiledPopulation, "advance_hour"
-            kill_after = 1
-        else:
-            target, name = UeSession, "advance_hour"
-            kill_after = POP + POP // 2
-        original = getattr(target, name)
-
-        def dying(self, *args, **kwargs):
-            if next(calls) >= kill_after:
-                raise KeyboardInterrupt
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(target, name, dying)
-        with pytest.raises(KeyboardInterrupt):
-            generator.generate(POP, engine=engine, checkpoint_path=path, **RUN)
-        monkeypatch.setattr(target, name, original)
+        _interrupted(generator, path, monkeypatch)
 
         resumed = generator.generate(
-            POP, engine=engine, checkpoint_path=path, resume=True, **RUN
+            POP, checkpoint_path=path, resume=True, **RUN
         )
-        assert_traces_equal(baselines[engine], resumed)
+        assert_traces_equal(baseline, resumed)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_resume_after_completion(
-        self, generator, baselines, engine, tmp_path
+        self, generator, baseline, engine, tmp_path
     ):
         path = tmp_path / "run.npz"
-        generator.generate(POP, engine=engine, checkpoint_path=path, **RUN)
+        generator.generate(POP, checkpoint_path=path, **RUN)
         again = generator.generate(
-            POP, engine=engine, checkpoint_path=path, resume=True, **RUN
+            POP, checkpoint_path=path, resume=True, **RUN
         )
-        assert_traces_equal(baselines[engine], again)
+        assert_traces_equal(baseline, again)
 
     def test_checkpoint_written_before_first_hour(
         self, generator, tmp_path, monkeypatch
@@ -201,29 +198,12 @@ class TestSerialCheckpoint:
 class TestCheckpointFile:
     """The checkpoint stays a plain ``.npz`` that is replaced atomically."""
 
-    def _interrupted(self, generator, engine, path, monkeypatch):
-        """Run until the second hour's snapshot, then kill the run."""
-        target = CompiledPopulation if engine == "compiled" else UeSession
-        original = target.advance_hour
-        calls = itertools.count()
-        kill_after = 1 if engine == "compiled" else POP + POP // 2
-
-        def dying(self, *args, **kwargs):
-            if next(calls) >= kill_after:
-                raise KeyboardInterrupt
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(target, "advance_hour", dying)
-        with pytest.raises(KeyboardInterrupt):
-            generator.generate(POP, engine=engine, checkpoint_path=path, **RUN)
-        monkeypatch.setattr(target, "advance_hour", original)
-
     @pytest.mark.parametrize("engine", ENGINES)
     def test_numpy_savez_compressed_checkpoint_resumes_bit_identical(
-        self, generator, baselines, engine, tmp_path, monkeypatch
+        self, generator, baseline, engine, tmp_path, monkeypatch
     ):
         path = tmp_path / "run.npz"
-        self._interrupted(generator, engine, path, monkeypatch)
+        _interrupted(generator, path, monkeypatch)
         with zipfile.ZipFile(path) as archive:
             assert {i.compress_type for i in archive.infolist()} == {
                 zipfile.ZIP_DEFLATED
@@ -233,15 +213,15 @@ class TestCheckpointFile:
         np.savez_compressed(path, **members)
 
         resumed = generator.generate(
-            POP, engine=engine, checkpoint_path=path, resume=True, **RUN
+            POP, checkpoint_path=path, resume=True, **RUN
         )
-        assert_traces_equal(baselines[engine], resumed)
+        assert_traces_equal(baseline, resumed)
 
     def test_failed_save_keeps_previous_checkpoint(
-        self, generator, baselines, tmp_path, monkeypatch
+        self, generator, baseline, tmp_path, monkeypatch
     ):
         path = tmp_path / "run.npz"
-        self._interrupted(generator, "compiled", path, monkeypatch)
+        _interrupted(generator, path, monkeypatch)
         before = path.read_bytes()
         checkpoint = GenerationCheckpoint.load(path)
         checkpoint.hours_done += 1
@@ -262,7 +242,120 @@ class TestCheckpointFile:
         resumed = generator.generate(
             POP, checkpoint_path=path, resume=True, **RUN
         )
-        assert_traces_equal(baselines["compiled"], resumed)
+        assert_traces_equal(baseline, resumed)
+
+
+def _rewrite_meta(path, key_changes=(), **meta_changes):
+    """Edit the metadata of the checkpoint at ``path`` in place.
+
+    ``key_changes`` maps run-key fields to new values (``None`` deletes
+    the field).  The file is written back with ``np.savez_compressed``,
+    as checkpoints once were.
+    """
+    with np.load(path, allow_pickle=False) as data:
+        members = {name: data[name] for name in data.files}
+    meta = json.loads(str(members["meta"][()]))
+    for name, value in dict(key_changes).items():
+        if value is None:
+            meta["key"].pop(name)
+        else:
+            meta["key"][name] = value
+    meta.update(meta_changes)
+    members["meta"] = np.asarray(json.dumps(meta))
+    np.savez_compressed(path, **members)
+
+
+def _as_engine_keyed(path, engine="compiled"):
+    """Turn a checkpoint into one written while runs still named their
+    engine: the key carries ``engine`` and the meta a ``sessions`` slot."""
+    _rewrite_meta(path, {"engine": engine}, sessions=None)
+
+
+class TestCheckpointRunKey:
+    """Loading the run key: malformed keys and engine-keyed checkpoints."""
+
+    @pytest.fixture
+    def checkpoint_path(self, generator, tmp_path):
+        path = tmp_path / "run.npz"
+        generator.generate(POP, checkpoint_path=path, **RUN)
+        return path
+
+    def test_unknown_key_field_is_a_checkpoint_error(self, checkpoint_path):
+        _rewrite_meta(checkpoint_path, {"future_field": 1})
+        with pytest.raises(CheckpointError, match="future_field"):
+            GenerationCheckpoint.load(checkpoint_path)
+
+    def test_missing_key_field_is_a_checkpoint_error(self, checkpoint_path):
+        _rewrite_meta(checkpoint_path, {"seed": None})
+        with pytest.raises(CheckpointError, match="seed"):
+            GenerationCheckpoint.load(checkpoint_path)
+
+    def test_non_mapping_key_is_a_checkpoint_error(self, checkpoint_path):
+        _rewrite_meta(checkpoint_path, key=["generate"])
+        with pytest.raises(CheckpointError, match="run key"):
+            GenerationCheckpoint.load(checkpoint_path)
+
+    def test_reference_engine_key_rejected_naming_engine(
+        self, generator, checkpoint_path
+    ):
+        _as_engine_keyed(checkpoint_path, engine="reference")
+        with pytest.raises(CheckpointMismatchError, match="engine"):
+            generator.generate(
+                POP, checkpoint_path=checkpoint_path, resume=True, **RUN
+            )
+
+    def test_engine_keyed_generate_checkpoint_resumes(
+        self, generator, baseline, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "run.npz"
+        _interrupted(generator, path, monkeypatch)
+        _as_engine_keyed(path)
+        assert GenerationCheckpoint.load(path).hours_done == 1
+        resumed = generator.generate(
+            POP, checkpoint_path=path, resume=True, **RUN
+        )
+        assert_traces_equal(baseline, resumed)
+
+    def test_engine_keyed_stream_checkpoint_resumes(
+        self, ours_model_set, tmp_path
+    ):
+        path = tmp_path / "stream.npz"
+        whole = list(stream_events(ours_model_set, POP, **RUN))
+        stream = stream_events(
+            ours_model_set, POP, checkpoint_path=path, **RUN
+        )
+        consumed = [next(stream) for _ in range(len(whole) // 2)]
+        stream.close()
+        _as_engine_keyed(path)
+        replay_from = GenerationCheckpoint.load(path).events_emitted
+        assert replay_from > 0
+        resumed = list(
+            stream_events(
+                ours_model_set, POP, checkpoint_path=path, resume=True, **RUN
+            )
+        )
+        assert consumed[:replay_from] + resumed == whole
+
+    def test_engine_keyed_parallel_checkpoint_resumes(
+        self, ours_model_set, baseline, tmp_path
+    ):
+        path = tmp_path / "par.npz"
+
+        def bomb(chunk_idx, attempt):
+            if chunk_idx == 3:
+                raise RuntimeError("interrupted")
+
+        kwargs = dict(processes=1, chunk_size=7, checkpoint_path=path, **RUN)
+        with pytest.raises(ChunkFailedError):
+            generate_parallel(
+                ours_model_set, POP, max_retries=0, fault_hook=bomb, **kwargs
+            )
+        _as_engine_keyed(path)
+        assert len(GenerationCheckpoint.load(path).chunk_columns) == 3
+        resumed = generate_parallel(
+            ours_model_set, POP, resume=True, **kwargs
+        )
+        assert_traces_equal(baseline, resumed)
 
 
 class TestStreamingCheckpoint:
@@ -273,11 +366,11 @@ class TestStreamingCheckpoint:
         """Kill a stream mid-hour; concatenated streams match end to end."""
         path = tmp_path / "stream.npz"
         whole = list(
-            stream_events(ours_model_set, POP, engine=engine, **RUN)
+            stream_events(ours_model_set, POP, **RUN)
         )
 
         stream = stream_events(
-            ours_model_set, POP, engine=engine, checkpoint_path=path, **RUN
+            ours_model_set, POP, checkpoint_path=path, **RUN
         )
         # Consume into the middle of the second hour, then drop the stream
         # (simulating a crash between checkpoints).
@@ -293,7 +386,6 @@ class TestStreamingCheckpoint:
             stream_events(
                 ours_model_set,
                 POP,
-                engine=engine,
                 checkpoint_path=path,
                 resume=True,
                 **RUN,
@@ -307,7 +399,7 @@ class TestStreamingCheckpoint:
     ):
         path = tmp_path / "stream.npz"
         stream = stream_events(
-            ours_model_set, POP, engine=engine, checkpoint_path=path, **RUN
+            ours_model_set, POP, checkpoint_path=path, **RUN
         )
         next(stream)  # killed in the very first hour
         stream.close()
@@ -339,22 +431,21 @@ class TestStreamingCheckpoint:
 class TestParallelCheckpoint:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_checkpointed_parallel_matches_serial(
-        self, ours_model_set, baselines, engine, tmp_path
+        self, ours_model_set, baseline, engine, tmp_path
     ):
         path = tmp_path / "par.npz"
         trace = generate_parallel(
             ours_model_set,
             POP,
-            engine=engine,
             processes=1,
             chunk_size=7,
             checkpoint_path=path,
             **RUN,
         )
-        assert_traces_equal(baselines[engine], trace)
+        assert_traces_equal(baseline, trace)
 
     def test_interrupted_parallel_resumes(
-        self, ours_model_set, baselines, tmp_path
+        self, ours_model_set, baseline, tmp_path
     ):
         path = tmp_path / "par.npz"
 
@@ -384,10 +475,10 @@ class TestParallelCheckpoint:
             resume=True,
             **RUN,
         )
-        assert_traces_equal(baselines["compiled"], resumed)
+        assert_traces_equal(baseline, resumed)
 
     def test_inline_retry_masks_transient_failure(
-        self, ours_model_set, baselines
+        self, ours_model_set, baseline
     ):
         failures = {"left": 2}
 
@@ -407,7 +498,7 @@ class TestParallelCheckpoint:
             **RUN,
         )
         assert failures["left"] == 0
-        assert_traces_equal(baselines["compiled"], trace)
+        assert_traces_equal(baseline, trace)
 
     def test_inline_poisoned_chunk_fails_structured(self, ours_model_set):
         def poisoned(chunk_idx, attempt):
@@ -452,24 +543,24 @@ class TestParallelWorkerCrash:
         )
 
     def test_killed_worker_recovers_bit_identical(
-        self, ours_model_set, baselines, tmp_path, monkeypatch
+        self, ours_model_set, baseline, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(
             FAULT_ENV, f"chunk=2;fails=1;mode=exit;dir={tmp_path}"
         )
         trace = self._run(ours_model_set)
-        assert_traces_equal(baselines["compiled"], trace)
+        assert_traces_equal(baseline, trace)
         # Exactly one injected death.
         assert sorted(os.listdir(tmp_path)) == ["fault-2-0"]
 
     def test_raising_worker_recovers_bit_identical(
-        self, ours_model_set, baselines, tmp_path, monkeypatch
+        self, ours_model_set, baseline, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(
             FAULT_ENV, f"chunk=0;fails=2;mode=raise;dir={tmp_path}"
         )
         trace = self._run(ours_model_set, max_retries=2)
-        assert_traces_equal(baselines["compiled"], trace)
+        assert_traces_equal(baseline, trace)
 
     def test_poisoned_raising_chunk_names_itself(
         self, ours_model_set, tmp_path, monkeypatch
@@ -496,7 +587,7 @@ class TestParallelWorkerCrash:
         assert "died" in str(excinfo.value)
 
     def test_crash_then_resume_from_checkpoint(
-        self, ours_model_set, baselines, tmp_path, monkeypatch
+        self, ours_model_set, baseline, tmp_path, monkeypatch
     ):
         path = tmp_path / "par.npz"
         monkeypatch.setenv(
@@ -508,4 +599,4 @@ class TestParallelWorkerCrash:
         resumed = self._run(
             ours_model_set, checkpoint_path=path, resume=True
         )
-        assert_traces_equal(baselines["compiled"], resumed)
+        assert_traces_equal(baseline, resumed)

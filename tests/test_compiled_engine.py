@@ -4,7 +4,8 @@ Three layers of guarantees, mirroring the engine's design:
 
 - the vectorized Philox implementation is bit-validated against
   ``np.random.Philox``;
-- compiled output is *statistically* equivalent to the reference engine
+- compiled output is *statistically* equivalent to the reference
+  generator, :func:`~repro.generator.ue_generator.generate_reference`
   (two-sample KS on sojourn and per-UE volume distributions, alpha=0.01
   with fixed seeds, so the tests are deterministic);
 - compiled output is *bit-identical* across serial, process-parallel and
@@ -19,13 +20,14 @@ from scipy import stats
 
 from repro.baselines import METHOD_NAMES, fit_method
 from repro.generator import (
-    ENGINES,
     TrafficGenerator,
     generate_parallel,
+    generate_ue_events,
     stream_events,
     stream_to_trace,
 )
 from repro.generator.compiled import philox4x64
+from repro.generator.ue_generator import generate_reference
 from repro.model import scale_to_nsa, scale_to_sa
 from repro.trace import DeviceType, EventType
 
@@ -33,6 +35,12 @@ from conftest import TRACE_START_HOUR, make_trace
 
 P = DeviceType.PHONE
 E = EventType
+
+
+def _reference(model_set, num_ues, **kwargs):
+    """The reference generator's trace for a total or per-device count."""
+    counts = TrafficGenerator(model_set).resolve_counts(num_ues)
+    return generate_reference(model_set, counts, **kwargs)
 
 
 class TestPhilox:
@@ -70,8 +78,8 @@ class TestStatisticalEquivalence:
         gen = TrafficGenerator(ours_model_set)
         kwargs = dict(start_hour=TRACE_START_HOUR, num_hours=2, seed=5)
         return (
-            gen.generate(300, engine="compiled", **kwargs),
-            gen.generate(300, engine="reference", **kwargs),
+            gen.generate(300, **kwargs),
+            _reference(ours_model_set, 300, **kwargs),
         )
 
     def test_volume_is_comparable(self, traces):
@@ -155,26 +163,47 @@ class TestBitIdentity:
             assert small.ue_trace(int(ue)) == large.ue_trace(int(ue))
 
     def test_reference_engine_unchanged_by_switch(self, ours_model_set):
-        by_ctor = TrafficGenerator(
-            ours_model_set, engine="reference"
-        ).generate(40, **self.KWARGS)
-        by_call = TrafficGenerator(ours_model_set).generate(
-            40, engine="reference", **self.KWARGS
+        """The reference generator still makes the per-UE draws it made
+        as an engine: UE ``i`` walks ``generate_ue_events`` on substream
+        ``SeedSequence(seed, spawn_key=(i,))`` after its persona draw."""
+        first_ue_id = 5
+        trace = _reference(
+            ours_model_set, {P: 12}, first_ue_id=first_ue_id, **self.KWARGS
         )
-        assert by_ctor == by_call
+        personas = ours_model_set.device_ues[P]
+        total = 0
+        for i in range(12):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(self.KWARGS["seed"], spawn_key=(i,))
+            )
+            persona = int(personas[rng.integers(len(personas))])
+            times, events = generate_ue_events(
+                ours_model_set,
+                P,
+                persona,
+                start_hour=self.KWARGS["start_hour"],
+                num_hours=self.KWARGS["num_hours"],
+                rng=rng,
+            )
+            ue = trace.ue_trace(first_ue_id + i)
+            assert sorted(
+                zip(ue.times.tolist(), ue.event_types.tolist())
+            ) == sorted(zip(times, events))
+            total += len(times)
+        assert len(trace) == total
 
 
 class TestEngineSelection:
-    def test_engines_tuple(self):
-        assert ENGINES == ("compiled", "reference")
-
     def test_unknown_engine_rejected(self, ours_model_set):
-        with pytest.raises(ValueError, match="unknown engine"):
-            TrafficGenerator(ours_model_set, engine="turbo")
-        with pytest.raises(ValueError, match="unknown engine"):
-            TrafficGenerator(ours_model_set).generate(10, engine="turbo")
-        with pytest.raises(ValueError, match="unknown engine"):
-            generate_parallel(ours_model_set, 10, engine="turbo")
+        """There is one engine: no entry point takes ``engine``."""
+        with pytest.raises(TypeError, match="engine"):
+            TrafficGenerator(ours_model_set, engine="reference")
+        with pytest.raises(TypeError, match="engine"):
+            TrafficGenerator(ours_model_set).generate(10, engine="reference")
+        with pytest.raises(TypeError, match="engine"):
+            generate_parallel(ours_model_set, 10, engine="reference")
+        with pytest.raises(TypeError, match="engine"):
+            stream_events(ours_model_set, 10, engine="reference")
 
     def test_non_positive_hours_rejected(self, ours_model_set):
         with pytest.raises(ValueError, match="num_hours"):
@@ -199,7 +228,7 @@ class TestStructuralLimits:
 
     def test_max_events_per_hour_cap(self, ours_model_set, monkeypatch):
         # The compiled engine reads the cap dynamically, so the same
-        # monkeypatch that limits the reference engine limits it too.
+        # monkeypatch that limits the reference generator limits it too.
         from repro.generator import ue_generator
 
         monkeypatch.setattr(ue_generator, "MAX_EVENTS_PER_HOUR", 3)
@@ -296,8 +325,8 @@ def sweep_traces(sweep_model_sets):
     for combo, model_set in sweep_model_sets.items():
         gen = TrafficGenerator(model_set)
         traces[combo] = (
-            gen.generate(_SWEEP_POP, engine="compiled", **_SWEEP_KWARGS),
-            gen.generate(_SWEEP_POP, engine="reference", **_SWEEP_KWARGS),
+            gen.generate(_SWEEP_POP, **_SWEEP_KWARGS),
+            _reference(model_set, _SWEEP_POP, **_SWEEP_KWARGS),
         )
     return traces
 
@@ -418,11 +447,9 @@ class TestDifferentialSweep:
         per-device event-count totals), for every combination."""
         compiled, reference = sweep_traces[(method, rat)]
         gen = TrafficGenerator(sweep_model_sets[(method, rat)])
-        assert compiled == gen.generate(
-            _SWEEP_POP, engine="compiled", **_SWEEP_KWARGS
-        )
-        assert reference == gen.generate(
-            _SWEEP_POP, engine="reference", **_SWEEP_KWARGS
+        assert compiled == gen.generate(_SWEEP_POP, **_SWEEP_KWARGS)
+        assert reference == _reference(
+            sweep_model_sets[(method, rat)], _SWEEP_POP, **_SWEEP_KWARGS
         )
 
     @pytest.mark.parametrize("device", list(DeviceType))
