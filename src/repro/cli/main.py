@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -124,6 +125,10 @@ def _save_trace(trace: Trace, path: str) -> None:
 
 
 def _device_counts(args: argparse.Namespace):
+    for flag in ("ues", "phones", "cars", "tablets"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise SystemExit(f"--{flag} must be non-negative, got {value}")
     explicit = {
         DeviceType.PHONE: args.phones,
         DeviceType.CONNECTED_CAR: args.cars,
@@ -145,21 +150,29 @@ def _device_counts(args: argparse.Namespace):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_trace_path(args.out)
+    if not 0 < args.hours < math.inf:
+        raise SystemExit(f"--hours must be a positive number, got {args.hours}")
+    if args.processes < 0:
+        raise SystemExit(
+            f"--processes must be non-negative (0 = all CPUs), got {args.processes}"
+        )
     tele = RunTelemetry(
         {
             "command": "simulate",
             "start_hour": args.start_hour,
             "num_hours": args.hours,
             "seed": args.seed,
+            "processes": args.processes,
         }
     )
     counts = _device_counts(args)
-    with tele.span("simulate"):
+    with use_telemetry(tele), tele.span("simulate"):
         trace = simulate_ground_truth(
             counts,
             duration=args.hours * 3600.0,
             seed=args.seed,
             start_hour=args.start_hour,
+            processes=args.processes or None,  # 0 = all CPUs
         )
     tele.count("events_emitted", len(trace))
     with tele.span("trace-write"):
@@ -531,6 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hours", type=float, default=24.0)
     p.add_argument("--start-hour", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--processes", type=int, default=1,
+                   help="UE-range shard worker processes (0 = all CPUs); "
+                        "the output is byte-identical for any value")
     p.add_argument("--telemetry", default=None, metavar="PATH",
                    help="write a schema-validated JSON telemetry report "
                         "of the run to PATH")

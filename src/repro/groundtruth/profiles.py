@@ -123,42 +123,34 @@ class DeviceProfile:
     start_off_probability: float
 
 
-def _evening_peak_curve() -> Tuple[float, ...]:
-    """Phones/tablets: night trough, daytime ramp, evening peak."""
-    base = [
-        0.10, 0.06, 0.05, 0.05, 0.06, 0.10,  # 0-5
-        0.22, 0.45, 0.62, 0.70, 0.72, 0.75,  # 6-11
-        0.80, 0.78, 0.74, 0.72, 0.76, 0.85,  # 12-17
-        0.95, 1.00, 1.00, 0.90, 0.55, 0.25,  # 18-23
-    ]
-    return tuple(base)
+#: Phones/tablets: night trough, daytime ramp, evening peak.
+_EVENING_PEAK_CURVE = (
+    0.10, 0.06, 0.05, 0.05, 0.06, 0.10,  # 0-5
+    0.22, 0.45, 0.62, 0.70, 0.72, 0.75,  # 6-11
+    0.80, 0.78, 0.74, 0.72, 0.76, 0.85,  # 12-17
+    0.95, 1.00, 1.00, 0.90, 0.55, 0.25,  # 18-23
+)
 
+#: Connected cars: commute double peak, near-silent night.
+_COMMUTE_CURVE = (
+    0.020, 0.008, 0.005, 0.005, 0.010, 0.060,  # 0-5
+    0.350, 0.900, 1.000, 0.600, 0.450, 0.480,  # 6-11
+    0.520, 0.500, 0.480, 0.550, 0.800, 1.000,  # 12-17
+    0.900, 0.600, 0.350, 0.180, 0.090, 0.040,  # 18-23
+)
 
-def _commute_curve() -> Tuple[float, ...]:
-    """Connected cars: commute double peak, near-silent night."""
-    base = [
-        0.020, 0.008, 0.005, 0.005, 0.010, 0.060,  # 0-5
-        0.350, 0.900, 1.000, 0.600, 0.450, 0.480,  # 6-11
-        0.520, 0.500, 0.480, 0.550, 0.800, 1.000,  # 12-17
-        0.900, 0.600, 0.350, 0.180, 0.090, 0.040,  # 18-23
-    ]
-    return tuple(base)
-
-
-def _tablet_curve() -> Tuple[float, ...]:
-    """Tablets: flat-ish daytime, evening couch peak, shallow night."""
-    base = [
-        0.15, 0.09, 0.07, 0.07, 0.08, 0.10,  # 0-5
-        0.18, 0.30, 0.40, 0.48, 0.55, 0.60,  # 6-11
-        0.62, 0.60, 0.58, 0.60, 0.66, 0.75,  # 12-17
-        0.90, 1.00, 1.00, 0.85, 0.50, 0.25,  # 18-23
-    ]
-    return tuple(base)
+#: Tablets: flat-ish daytime, evening couch peak, shallow night.
+_TABLET_CURVE = (
+    0.15, 0.09, 0.07, 0.07, 0.08, 0.10,  # 0-5
+    0.18, 0.30, 0.40, 0.48, 0.55, 0.60,  # 6-11
+    0.62, 0.60, 0.58, 0.60, 0.66, 0.75,  # 12-17
+    0.90, 1.00, 1.00, 0.85, 0.50, 0.25,  # 18-23
+)
 
 
 PHONE_PROFILE = DeviceProfile(
     device_type=DeviceType.PHONE,
-    diurnal=_evening_peak_curve(),
+    diurnal=_EVENING_PEAK_CURVE,
     activity_sigma=1.10,
     connected_sojourn=MixtureSpec(
         weights=(0.55, 0.35, 0.10),
@@ -187,7 +179,7 @@ PHONE_PROFILE = DeviceProfile(
 
 CONNECTED_CAR_PROFILE = DeviceProfile(
     device_type=DeviceType.CONNECTED_CAR,
-    diurnal=_commute_curve(),
+    diurnal=_COMMUTE_CURVE,
     activity_sigma=1.30,
     connected_sojourn=MixtureSpec(
         weights=(0.50, 0.40, 0.10),
@@ -216,7 +208,7 @@ CONNECTED_CAR_PROFILE = DeviceProfile(
 
 TABLET_PROFILE = DeviceProfile(
     device_type=DeviceType.TABLET,
-    diurnal=_tablet_curve(),
+    diurnal=_TABLET_CURVE,
     activity_sigma=1.20,
     connected_sojourn=MixtureSpec(
         weights=(0.53, 0.35, 0.12),

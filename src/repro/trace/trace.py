@@ -37,6 +37,29 @@ class Event:
             raise ValueError(f"event time must be non-negative, got {self.time}")
 
 
+def _check_one_device_per_ue(ue_ids: np.ndarray, device_types: np.ndarray) -> None:
+    """Reject a UE whose rows carry more than one device type, in O(n).
+
+    Scatters each row's device into a per-UE slot (indexed by the UE id
+    when ids are dense, else by its rank) and reads it back: a row that
+    disagrees with its UE's slot names an offending UE.
+    """
+    lo, hi = int(ue_ids.min()), int(ue_ids.max())
+    if lo >= 0 and hi < 2 * len(ue_ids) + 1024:
+        slots, size = ue_ids, hi + 1
+    else:
+        uniq, slots = np.unique(ue_ids, return_inverse=True)
+        size = len(uniq)
+    device_of = np.empty(size, dtype=device_types.dtype)
+    device_of[slots] = device_types
+    bad = np.flatnonzero(device_of[slots] != device_types)
+    if bad.size:
+        ue = int(ue_ids[bad[0]])
+        rows = np.flatnonzero(ue_ids == ue)[:6]
+        shown = ", ".join(f"row {r}: {int(device_types[r])}" for r in rows)
+        raise ValueError(f"UE {ue} has more than one device type ({shown})")
+
+
 class Trace:
     """An ordered collection of control-plane events.
 
@@ -82,6 +105,7 @@ class Trace:
                     f"trace contains {bad.size} non-finite timestamp(s) "
                     f"(NaN or inf); first at row {bad[0]}"
                 )
+            _check_one_device_per_ue(ue_ids, device_types)
 
         if sort and len(times) > 1:
             order = np.lexsort((ue_ids, times))

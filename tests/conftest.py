@@ -86,13 +86,14 @@ def _isolated_model_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
 
 
-def make_trace(rows):
+def make_trace(rows, *, validate=True):
     """Build a Trace from (ue, time, event, device) tuples."""
     return Trace(
         np.array([r[0] for r in rows], dtype=np.int64),
         np.array([r[1] for r in rows], dtype=np.float64),
         np.array([int(r[2]) for r in rows], dtype=np.int8),
         np.array([int(r[3]) for r in rows], dtype=np.int8),
+        validate=validate,
     )
 
 

@@ -79,6 +79,22 @@ class TestSimulate:
         with pytest.raises(SystemExit, match="extension"):
             main(["simulate", "--ues", "2", "--out", str(tmp_path / "t.parquet")])
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--ues", "-5"], "--ues must be non-negative, got -5"),
+            (["--phones", "-3"], "--phones must be non-negative, got -3"),
+            (["--ues", "5", "--hours", "-1"], "--hours must be a positive number"),
+            (["--ues", "5", "--hours", "nan"], "--hours must be a positive number"),
+            (["--ues", "5", "--processes", "-2"], "--processes must be non-negative"),
+        ],
+    )
+    def test_rejects_bad_argument_naming_it(self, tmp_path, flags, named):
+        out = tmp_path / "t.npz"
+        with pytest.raises(SystemExit, match=named):
+            main(["simulate", *flags, "--out", str(out)])
+        assert not out.exists()
+
 
     def test_telemetry_report(self, tmp_path, capsys):
         import json

@@ -235,11 +235,13 @@ class TestTraceInvariants:
         )
     )
     def test_trace_always_sorted_and_partitionable(self, rows):
+        # A UE keeps the device type of its first row (the Trace contract).
+        device_of = {}
         tr = Trace(
             np.array([r[0] for r in rows], dtype=np.int64),
             np.array([r[1] for r in rows], dtype=np.float64),
             np.array([int(r[2]) for r in rows], dtype=np.int8),
-            np.array([int(r[3]) for r in rows], dtype=np.int8),
+            np.array([device_of.setdefault(r[0], int(r[3])) for r in rows], dtype=np.int8),
         )
         assert np.all(np.diff(tr.times) >= 0)
         total = sum(len(sub) for _, sub in tr.per_ue())

@@ -56,6 +56,25 @@ class TestConstruction:
                    validate=False)
         assert len(tr) == 1
 
+    def test_ue_with_two_device_types_rejected(self):
+        with pytest.raises(
+            ValueError, match=r"UE 1 has more than one device type \(row 0: 0, row 1: 1\)"
+        ):
+            Trace([1, 1], [0.0, 1.0], [0, 1], [0, 1])
+
+    def test_two_device_types_named_for_sparse_ids(self):
+        ue = 10**12
+        with pytest.raises(ValueError, match=f"UE {ue} has more .*row 1: 0, row 2: 2"):
+            Trace([5, ue, ue], [0.0, 1.0, 2.0], [0, 1, 1], [1, 0, 2])
+
+    def test_two_device_types_allowed_without_validation(self):
+        tr = Trace([1, 1], [0.0, 1.0], [0, 1], [0, 1], validate=False)
+        assert len(tr) == 2
+
+    def test_consistent_devices_accepted(self):
+        tr = Trace([3, 1, 3, 10**9], [0.0, 1.0, 2.0, 3.0], [0, 0, 1, 0], [1, 0, 1, 2])
+        assert tr.device_of() == {1: P, 3: CC, 10**9: DeviceType.TABLET}
+
     def test_unknown_event_rejected(self):
         with pytest.raises(ValueError, match="unknown event"):
             Trace(

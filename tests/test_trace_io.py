@@ -303,3 +303,35 @@ class TestNonFiniteTimestamps:
         )
         with pytest.raises(ValueError, match="2 non-finite timestamp.*first at row 1"):
             read_npz(path, mmap=mmap)
+
+
+class TestUeWithTwoDeviceTypes:
+    """Readers reject a UE whose rows carry two device types."""
+
+    def test_csv(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "ue_id,time,event,device\n"
+            "1,0.5,ATCH,PHONE\n"
+            "2,0.7,ATCH,TABLET\n"
+            "1,1.5,SRV_REQ,CONNECTED_CAR\n"
+        )
+        with pytest.raises(ValueError, match="UE 1 has more than one device type"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("compress", [True, False])
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_npz(self, compress, mmap, tmp_path):
+        path = tmp_path / "bad.npz"
+        save = np.savez_compressed if compress else np.savez
+        save(
+            path,
+            ue_ids=np.array([1, 2, 1], dtype=np.int64),
+            times=np.array([0.5, 0.7, 1.5]),
+            event_types=np.array([0, 0, 2], dtype=np.int8),
+            device_types=np.array([0, 2, 1], dtype=np.int8),
+        )
+        with pytest.raises(
+            ValueError, match=r"UE 1 has more .*\(row 0: 0, row 2: 1\)"
+        ):
+            read_npz(path, mmap=mmap)

@@ -302,7 +302,11 @@ class TestCohortProfile:
             (2, 30.0, E.SRV_REQ, T),
             (2, 31.0, E.S1_CONN_REL, T),
         ]
-        trace = make_trace(rows)
+        # A validated Trace rejects such a UE; an unvalidated one can
+        # still carry it, and both metric engines must agree on it.
+        with pytest.raises(ValueError, match="UE 1 has more than one device"):
+            make_trace(rows)
+        trace = make_trace(rows, validate=False)
         syn = ground_truth_trace.window(3600.0, 7200.0)
         assert cohort_profile(trace, P).num_ues == 1
         assert cohort_profile(trace, T).num_ues == 2
@@ -365,7 +369,8 @@ class TestCohortProfile:
                     max_size=40,
                 )
             )
-            traces.append(make_trace(rows))
+            # Unvalidated: UEs with two device types stay in the search space.
+            traces.append(make_trace(rows, validate=False))
         real, syn = traces
         pad = data.draw(st.integers(min_value=0, max_value=3))
         for dt in DeviceType:
